@@ -1,12 +1,12 @@
-"""Shared-memory fan-out vs. the old re-derive pool (this PR's headline).
+"""Shared-state fan-out vs. the old re-derive pool.
 
 The historical process pool shipped each worker a *bound-query payload*: the
 worker rebuilt its explainer from scratch — pickled database, fresh backend
 load, per-answer bound-query evaluation, and (for Why-No) a full re-run of
 candidate generation plus the combined-instance pass for its chunk.  The
 :mod:`repro.engine._pool` fan-out instead finishes the shared work **once**
-in the parent and lets workers inherit it (fork copy-on-write, or one
-pickled shared-memory segment), so the per-worker cost is only the
+in the parent and lets workers inherit it (copy-on-write under ``fork``,
+one pickle per worker under ``spawn``), so the per-worker cost is only the
 per-target explanation step.
 
 This module pins that difference on Fig. 2-scale ranking workloads
@@ -31,13 +31,12 @@ parallelise *onto*), while the equivalence suite
 (``tests/property/test_parallel_fanout.py``) pins its correctness
 everywhere.
 
-A **big tier** at 100x scale pins the sharded path
-(``explain_all(sharded=True, chunking="stealing")``): answer-partitioned
-workers each run their own restricted valuation pass, so serial's single
-full pass stops being the floor and the speedup is measured against serial
-itself, at 4 and 8 workers.  Its speedup floors are CPU-gated (a runner
-with fewer cores than workers only checks bit-identity) and shrink to
->= 1x under ``REPRO_BENCH_SMOKE=1``.
+A **big tier** at 100x scale pins how the fan-out scales where explanation
+dominates: every answer carries a non-trivial lineage, so the parent's one
+valuation pass is a sliver of the run and the speedup is measured against
+serial itself, at 4 and 8 workers.  Its speedup floors are CPU-gated (a
+runner with fewer cores than workers only checks bit-identity) and shrink
+to >= 1x under ``REPRO_BENCH_SMOKE=1``.
 
 The old pool is replicated verbatim at module level below — it no longer
 exists in the library.  Run with
@@ -55,8 +54,9 @@ import time
 import pytest
 
 from repro.engine import BatchExplainer, WhyNoBatchExplainer
+from repro.engine import _pool
 from repro.relational import Database, parse_query
-from repro.workloads import sharded_fanout_instance
+from repro.workloads import wide_fanout_instance
 
 RANKING_QUERY = parse_query("q(x) :- R(x, y), S(y, z)")
 WHYNO_QUERY = parse_query("q(x) :- R(x, y), S(y), T(y)")
@@ -248,7 +248,7 @@ def test_whyno_fanout_beats_rederive_pool(table_printer):
 
 
 # --------------------------------------------------------------------------- #
-# the big tier: sharded passes + work-stealing on the 100x-scale workload
+# the big tier: the fan-out on the 100x-scale workload
 # --------------------------------------------------------------------------- #
 BIG_ANSWERS = 12 if SMOKE else 80
 BIG_WITNESSES = 4 if SMOKE else 20
@@ -259,21 +259,19 @@ FULL_TIER_FLOORS = {4: 3.0, 8: 5.0}
 SMOKE_TIER_FLOOR = 1.0
 
 
-def big_sharded_instance(skew_factor: int = 1) -> Database:
+def big_instance(skew_factor: int = 1) -> Database:
     """The 100x-scale fan-out shape: per-answer disjoint lineage."""
-    return sharded_fanout_instance(BIG_ANSWERS, BIG_WITNESSES, seed=17,
-                                   skew_factor=skew_factor)
+    return wide_fanout_instance(BIG_ANSWERS, BIG_WITNESSES, seed=17,
+                                skew_factor=skew_factor)
 
 
-@needs_fork
 @pytest.mark.parametrize("workers", BIG_WORKER_COUNTS)
-def test_big_tier_sharded_pass_scales(table_printer, workers):
-    """Sharded workers run their *own* restricted passes: serial's single
-    full pass stops being the floor, so the speedup is measured against
+def test_big_tier_fanout_scales(table_printer, workers):
+    """Explanation dominates here, so the speedup is measured against
     serial itself (not the old pool).  Floors are CPU-gated — a runner
     with fewer cores than workers cannot hit them and only checks
     bit-identity."""
-    db = big_sharded_instance()
+    db = big_instance()
 
     start = time.perf_counter()
     serial = BatchExplainer(RANKING_QUERY, db).explain_all()
@@ -282,46 +280,46 @@ def test_big_tier_sharded_pass_scales(table_printer, workers):
 
     start = time.perf_counter()
     explainer = BatchExplainer(RANKING_QUERY, db)
-    sharded = explainer.explain_all(workers=workers, transport="fork",
-                                    sharded=True, chunking="stealing")
-    sharded_s = time.perf_counter() - start
+    pooled = explainer.explain_all(workers=workers)
+    pooled_s = time.perf_counter() - start
 
-    assert list(sharded) == list(serial)
+    assert list(pooled) == list(serial)
     for answer in serial:
-        assert ranking(sharded[answer]) == ranking(serial[answer]), answer
+        assert ranking(pooled[answer]) == ranking(serial[answer]), answer
 
-    speedup = serial_s / sharded_s if sharded_s else float("inf")
+    speedup = serial_s / pooled_s if pooled_s else float("inf")
     cores = os.cpu_count() or 1
     table_printer(
-        f"Big tier: sharded pass + stealing at {workers} workers",
+        f"Big tier: fan-out at {workers} workers",
         ("variant", "targets", "seconds"),
         [("serial explain_all()", len(serial), f"{serial_s:.3f}"),
-         (f"sharded+stealing ({workers}w)", len(sharded), f"{sharded_s:.3f}"),
-         ("sharded vs serial", f"{cores} core(s)", f"{speedup:.1f}x"),
+         (f"fan-out ({pooled.transport}, {workers}w)", len(pooled),
+          f"{pooled_s:.3f}"),
+         ("fan-out vs serial", f"{cores} core(s)", f"{speedup:.1f}x"),
          ("staged state", "",
-          "n/a" if sharded.state_bytes is None
-          else f"{sharded.state_bytes} bytes")])
+          "n/a" if pooled.state_bytes is None
+          else f"{pooled.state_bytes} bytes")])
     if SMOKE:
         if cores >= 2:
             assert speedup >= SMOKE_TIER_FLOOR, (
-                f"sharded only {speedup:.1f}x over serial "
+                f"fan-out only {speedup:.1f}x over serial "
                 f"(wanted >= {SMOKE_TIER_FLOOR}x in smoke mode)")
     elif cores >= workers:
         floor = FULL_TIER_FLOORS[workers]
         assert speedup >= floor, (
-            f"sharded only {speedup:.1f}x over serial at {workers} workers "
+            f"fan-out only {speedup:.1f}x over serial at {workers} workers "
             f"(wanted >= {floor}x on a {cores}-core machine)")
 
 
-def test_big_tier_sharded_modes_and_backends():
-    """Bit-identity of the sharded path at bench scale: both modes, both
+def test_big_tier_modes_and_backends():
+    """Bit-identity of the fan-out at bench scale: both modes, both
     backends (the property suite covers the randomized space)."""
-    db = big_sharded_instance()
+    db = big_instance()
     for backend in ("memory", "sqlite"):
         serial = BatchExplainer(RANKING_QUERY, db,
                                 backend=backend).explain_all()
         pooled = BatchExplainer(RANKING_QUERY, db, backend=backend).explain_all(
-            workers=2, sharded=True)
+            workers=2)
         assert list(pooled) == list(serial), backend
         for answer in serial:
             assert ranking(pooled[answer]) == ranking(serial[answer]), \
@@ -333,25 +331,27 @@ def test_big_tier_sharded_modes_and_backends():
                                      backend=backend).explain_all()
         pooled = WhyNoBatchExplainer(
             WHYNO_QUERY, wdb, non_answers=targets, domains=domains,
-            backend=backend).explain_all(workers=2, sharded=True)
+            backend=backend).explain_all(workers=2)
         assert list(pooled) == list(serial), backend
         for target in targets:
             assert ranking(pooled[target]) == ranking(serial[target]), \
                 (backend, target)
 
 
-def test_transports_agree_on_the_ranking_workload():
-    """Cheap cross-transport parity at bench scale (the property suite
-    covers the randomized space; this pins the actual bench workload)."""
+def test_start_methods_agree_on_the_ranking_workload(monkeypatch):
+    """Cheap fork/spawn parity at bench scale (the property suite covers
+    the randomized space; this pins the actual bench workload).  Spawn is
+    forced by monkeypatching the pool's start-method constant."""
     db = sparse_ranking_instance(seed=11)
     explainer = BatchExplainer(RANKING_QUERY, db, method="exact")
     serial = explainer.explain_all()
     subset = list(serial)[:40]
-    transports = (("fork",) if HAS_FORK else ()) + ("shared-memory",)
-    for transport in transports:
+    methods = (("fork",) if HAS_FORK else ()) + ("spawn",)
+    for method in methods:
+        monkeypatch.setattr(_pool, "_START_METHOD", method)
         pooled = BatchExplainer(RANKING_QUERY, db, method="exact").explain_all(
-            answers=subset, workers=2, transport=transport)
-        assert pooled.transport == transport
+            answers=subset, workers=2)
+        assert pooled.transport == method
         for answer in subset:
             assert ranking(pooled[answer]) == ranking(serial[answer]), \
-                (transport, answer)
+                (method, answer)

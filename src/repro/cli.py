@@ -11,9 +11,8 @@ driven without writing Python:
 * ``repro explain-batch --data db.json --query "q(x) :- R(x,y), S(y)"`` —
   explain *every* answer in one pass through the batch engine, printing the
   Fig. 2b-style table per answer (``--workers N`` fans answers out over
-  worker processes that inherit the shared evaluation pass, ``--transport``
-  picks how they inherit it, ``--backend sqlite`` runs the valuation pass in
-  SQLite);
+  worker processes that inherit the shared evaluation pass, ``--backend
+  sqlite`` runs the valuation pass in SQLite);
 * ``repro explain-batch --mode why-no --non-answer a7 --non-answer a9 ...`` —
   the Why-No batch: explain many *missing* answers over one shared combined
   instance (``--domain y=b1,b2`` restricts a variable's candidate domain;
@@ -131,11 +130,12 @@ def _parse_domains(raw: Optional[List[str]]) -> Optional[dict]:
 def _print_fanout_report(args: argparse.Namespace, explanations) -> None:
     """Say what the fan-out actually ran (only when workers were requested).
 
-    The pool runs ``min(workers, targets)`` processes and ``--transport
-    auto`` resolves per platform; printing the effective values keeps
-    benchmark drivers and scripts honest about what they measured.
+    The pool runs ``min(workers, targets)`` processes with the platform's
+    start method (``fork`` where available, else ``spawn``); printing the
+    effective values keeps benchmark drivers and scripts honest about what
+    they measured.
     """
-    if args.workers is None and args.transport == "auto":
+    if args.workers is None:
         return
     staged = ("n/a" if explanations.state_bytes is None
               else f"{explanations.state_bytes} byte(s)")
@@ -181,10 +181,7 @@ def _cmd_explain_batch(args: argparse.Namespace) -> int:
         return _run_whyno_batch(args, query, database)
     explainer = BatchExplainer(query, database, method=args.method,
                                backend=args.backend)
-    explanations = explainer.explain_all(workers=args.workers,
-                                         transport=args.transport,
-                                         sharded=args.sharded,
-                                         chunking=args.chunking)
+    explanations = explainer.explain_all(workers=args.workers)
     if not explanations:
         print("the query has no answers on this database")
         return 0
@@ -239,10 +236,7 @@ def _run_whyno_batch(args: argparse.Namespace, query, database: Database) -> int
         explainer = WhyNoBatchExplainer(query, database,
                                         non_answers=non_answers,
                                         domains=domains, backend=args.backend)
-    explanations = explainer.explain_all(workers=args.workers,
-                                         transport=args.transport,
-                                         sharded=args.sharded,
-                                         chunking=args.chunking)
+    explanations = explainer.explain_all(workers=args.workers)
     if not explanations:
         print("no missing answers to explain "
               "(every candidate head tuple is an answer)")
@@ -293,8 +287,8 @@ def _serve_configs(args: argparse.Namespace) -> list:
     Either one session from ``--data``/``--query``/``--name``, or several
     from a ``--config`` JSON file of the shape
     ``{"sessions": [{"name": ..., "data": ..., "query": ..., ...}, ...]}``
-    (per-session keys ``backend``, ``method``, ``workers``, ``transport``
-    override the command-line defaults).
+    (per-session keys ``backend``, ``method`` and ``workers`` override the
+    command-line defaults).
     """
     from .server import AdmissionPolicy, SessionConfig
 
@@ -316,7 +310,6 @@ def _serve_configs(args: argparse.Namespace) -> list:
                 backend=entry.get("backend", args.backend),
                 method=entry.get("method", "auto"),
                 workers=entry.get("workers", args.workers),
-                transport=entry.get("transport", args.transport),
                 policy=policy)
             for entry in entries
         ]
@@ -325,8 +318,7 @@ def _serve_configs(args: argparse.Namespace) -> list:
             "repro serve needs --data and --query (or --config FILE)")
     return [SessionConfig(
         args.name, args.query, _load_database(args.data),
-        backend=args.backend, workers=args.workers,
-        transport=args.transport, policy=policy)]
+        backend=args.backend, workers=args.workers, policy=policy)]
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -431,25 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="fan answers out over N worker processes "
                                    "(the workers inherit the parent's "
                                    "evaluation pass)")
-    batch_parser.add_argument("--transport", default="auto",
-                              choices=("auto", "serial", "fork",
-                                       "shared-memory"),
-                              help="how workers receive the shared state: "
-                                   "fork inheritance (POSIX), a pickle-once "
-                                   "shared-memory segment, or in-process "
-                                   "serial (default: auto = fork where "
-                                   "available, else shared-memory)")
-    batch_parser.add_argument("--sharded", action="store_true",
-                              help="partition answers by head value and let "
-                                   "each worker run its own shard-restricted "
-                                   "valuation pass instead of inheriting the "
-                                   "parent's finished pass")
-    batch_parser.add_argument("--chunking", default=None,
-                              choices=("contiguous", "stealing"),
-                              help="how the pool assigns targets to workers: "
-                                   "fixed contiguous slices or work-stealing "
-                                   "over fine-grained chunks (default: "
-                                   "stealing when --sharded, else contiguous)")
     batch_parser.add_argument("--top", type=int, default=None,
                               help="print only the K best causes per answer")
     batch_parser.add_argument("--cache-stats", action="store_true",
@@ -499,10 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--workers", type=int, default=None,
                               help="fan batch requests out over N worker "
                                    "processes per session")
-    serve_parser.add_argument("--transport", default="auto",
-                              choices=("auto", "serial", "fork",
-                                       "shared-memory"),
-                              help="fan-out transport (default: auto)")
     serve_parser.add_argument("--max-pending", type=int, default=8,
                               help="per-session admission queue depth "
                                    "(default: 8; beyond it requests get the "

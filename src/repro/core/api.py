@@ -193,46 +193,33 @@ class ExplanationSession:
 
     def explain_all(self, answers: Optional[Iterable[Sequence[Any]]] = None,
                     workers: Optional[int] = None,
-                    transport: str = "auto",
                     on_chunk: Optional[Callable[
-                        [List[Any], Dict[Any, Explanation]], None]] = None,
-                    sharded: bool = False,
-                    chunking: Optional[str] = None
+                        [List[Any], Dict[Any, Explanation]], None]] = None
                     ) -> Dict[Any, Explanation]:
         """Why-So explanations for every answer, via the shared engine.
 
-        ``workers``/``transport`` select the parallel fan-out of
+        ``workers`` selects the parallel fan-out of
         :meth:`repro.engine.BatchExplainer.explain_all`; the workers inherit
         the session engine's completed open-query pass, and their cache
-        entries merge back into it.  ``sharded=True`` instead
-        hash-partitions the answer space and has each worker run its own
-        shard-restricted valuation pass (see there); ``chunking`` picks the
-        pool discipline.  ``on_chunk`` streams ranked explanations back
-        incrementally as chunks finish (see there) — this is what the
-        explanation service's streaming responses ride on.
+        entries merge back into it.  ``on_chunk`` streams ranked
+        explanations back incrementally as chunks finish (see there) — this
+        is what the explanation service's streaming responses ride on.
         """
         return self._whyso_engine().explain_all(answers, workers=workers,
-                                                transport=transport,
-                                                on_chunk=on_chunk,
-                                                sharded=sharded,
-                                                chunking=chunking)
+                                                on_chunk=on_chunk)
 
     def for_missing_answers(
         self, domains: Optional[Mapping[str, Iterable[Any]]] = None,
         max_candidates: Optional[int] = None,
         workers: Optional[int] = None,
-        transport: str = "auto",
         on_chunk: Optional[Callable[
             [List[Any], Dict[Any, Explanation]], None]] = None,
-        sharded: bool = False,
-        chunking: Optional[str] = None,
     ) -> Dict[Any, Explanation]:
         """Why-No explanations for every missing answer the domains allow.
 
         The constructed batch becomes the session's live Why-No engine, so a
         later :meth:`refresh` re-evaluates only the touched non-answers.
-        ``on_chunk`` streams results incrementally, and ``sharded``/
-        ``chunking`` select the shard-parallel pass, as in
+        ``workers`` and ``on_chunk`` fan out and stream as in
         :meth:`explain_all`.
         """
         from ..engine.whyno_batch import WhyNoBatchExplainer
@@ -240,9 +227,7 @@ class ExplanationSession:
         self._whyno = WhyNoBatchExplainer.for_missing_answers(
             self.query, self.database, domains=domains,
             max_candidates=max_candidates, backend=self.backend)
-        return self._whyno.explain_all(workers=workers, transport=transport,
-                                       on_chunk=on_chunk, sharded=sharded,
-                                       chunking=chunking)
+        return self._whyno.explain_all(workers=workers, on_chunk=on_chunk)
 
     # -- incremental re-explanation --------------------------------------- #
     def refresh(self, delta) -> Dict[str, Any]:

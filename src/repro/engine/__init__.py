@@ -7,7 +7,7 @@ answer" — workloads:
 * :class:`~repro.engine.batch.BatchExplainer` — evaluate the open query once,
   share the valuation set and n-lineage across all answers, optionally fan
   independent answers out over worker processes that *inherit* the completed
-  pass (Why-So; see :mod:`repro.engine._pool` for the transport seam);
+  pass (Why-So; see :mod:`repro.engine._pool` for the fan-out seam);
 * :class:`~repro.engine.whyno_batch.WhyNoBatchExplainer` — its Why-No
   sibling: generate the candidate missing tuples for a whole non-answer set
   in one pass, build the combined instance ``Dx ∪ Dn`` once, and read every

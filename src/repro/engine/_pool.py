@@ -1,4 +1,4 @@
-"""Shared-memory parallel fan-out for the batch explainers.
+"""Parallel fan-out for the batch explainers.
 
 Both :class:`~repro.engine.batch.BatchExplainer` and
 :class:`~repro.engine.whyno_batch.WhyNoBatchExplainer` parallelise the same
@@ -15,63 +15,37 @@ The seam has three pieces:
   and an optional ``finalize`` returning a picklable extra (e.g. cache
   entries to merge back).  All three must be module-level functions so they
   pickle by reference.
-* a **transport** — how the shared state reaches the worker processes:
-
-  =================  ========================================================
-  ``serial``         no processes; chunks run in the parent (also the
-                     automatic fallback for one worker or one target)
-  ``fork``           POSIX: workers are forked *after* the shared state is
-                     staged, so they inherit it copy-on-write — nothing is
-                     pickled but the chunk keys and the results
-  ``shared-memory``  spawn-safe fallback: the shared state is pickled
-                     **once** into a :mod:`multiprocessing.shared_memory`
-                     segment; every worker attaches and unpickles it once
-  ``auto``           ``fork`` where available, else ``shared-memory``
-  =================  ========================================================
-
+* one process pool.  The shared state, the chunk list and a shared claim
+  index reach every worker through the pool's ``initializer``.  The start
+  method is the platform's: under ``fork`` (POSIX) the workers inherit that
+  state copy-on-write, under ``spawn`` (everywhere else) it is pickled once
+  per worker — never once per chunk.  Targets are split into fine-grained
+  chunks (several per worker) behind the claim index; each worker loops:
+  lock, read-and-increment the index, run the claimed chunk.  Fast workers
+  drain what slow ones never reach, so one skewed target (an answer with
+  100× the lineage) delays only its own chunk.  A worker that claims
+  nothing never runs ``setup`` (and skips ``finalize``).  One worker or one
+  target runs ``serial``: in the parent, with no processes at all.
 * :class:`FanOutResult` — a plain dict of per-target results (keyed in the
-  serial target order, independent of the worker count) that additionally
-  reports what actually ran: :attr:`~FanOutResult.transport`,
+  serial target order, independent of the worker count and of which worker
+  claimed what) that additionally reports what actually ran:
+  :attr:`~FanOutResult.transport` (``serial``, ``fork`` or ``spawn``),
   :attr:`~FanOutResult.requested_workers` and
   :attr:`~FanOutResult.effective_workers` (the pool shrinks to
   ``min(workers, len(targets))`` only when targets are scarcer than
   workers; the result makes the actual count visible so benchmarks and
   tests can assert on it).
 
-On top of the transport, callers pick a **chunking** discipline:
-
-=================  =========================================================
-``contiguous``     the default: targets split into exactly one balanced
-                   chunk per worker, assigned up front.  Lowest overhead,
-                   but a skewed target (one answer with 100× the lineage)
-                   serialises its whole chunk behind it.
-``stealing``       work-stealing: targets split into fine-grained chunks
-                   (several per worker) and published behind a shared
-                   claim index — a :mod:`multiprocessing` counter shipped
-                   through the pool initializer.  Workers loop: lock,
-                   read-and-increment the index, run the claimed chunk.
-                   Fast workers drain what slow ones never reach, so the
-                   makespan tracks total work, not the worst chunk.  A
-                   worker that claims nothing never runs ``setup`` (and
-                   skips ``finalize``).
-=================  =========================================================
-
-Either chunking yields the *same* :class:`FanOutResult`: results are
-re-keyed in serial target order and per-worker ``finalize`` extras are
-collected in submission order, so outputs stay independent of which worker
-claimed what.
-
 Failures are typed, never hung and never half-merged: a worker that raises
 surfaces as a :class:`~repro.exceptions.FanOutWorkerError` naming the
 offending target; a worker *process* that dies surfaces the same error
-naming the chunks it left unfinished.  A failing chunk aborts its own
-remaining targets immediately; sibling chunks run to completion (every
-chunk starts at once — there is no queue to cancel), so the wait is bounded
+naming the chunks that never reported back.  A failing worker stops
+claiming; its siblings drain the remaining chunks, so the wait is bounded
 by the slowest chunk.  On any failure no result (and no ``finalize`` extra)
 is handed to the caller, so the parent's caches stay exactly as they were.
 
 **Streaming**: ``fan_out(..., on_chunk=...)`` reports each *successful*
-chunk the moment its worker finishes — ``on_chunk(chunk_targets,
+chunk the moment its worker returns — ``on_chunk(chunk_targets,
 chunk_results)`` runs in the parent, in completion order — instead of
 making the consumer wait for the full merged dict.  The failure contract
 extends to the stream: a failed chunk is **never** delivered through
@@ -84,8 +58,8 @@ after a failure are still delivered before the raise.
 
 Examples
 --------
-The serial transport runs in-process, so it also serves as the reference
-semantics for the parallel ones:
+The serial path runs in-process, so it also serves as the reference
+semantics for the pool:
 
 >>> spec = FanOutSpec(compute=lambda state, target: state * target)
 >>> result = fan_out([1, 2, 3], 10, spec, workers=1)
@@ -95,7 +69,7 @@ semantics for the parallel ones:
 ('serial', 1, 1)
 
 ``setup`` runs once per worker, ``finalize`` once per worker after its
-chunk; the extras are collected on the result:
+last chunk; the extras are collected on the result:
 
 >>> spec = FanOutSpec(setup=lambda state: {"base": state, "seen": []},
 ...                   compute=lambda ctx, t: ctx["seen"].append(t) or ctx["base"] + t,
@@ -108,6 +82,7 @@ chunk; the extras are collected on the result:
 from __future__ import annotations
 
 import concurrent.futures
+import itertools
 import multiprocessing
 import pickle
 import traceback
@@ -121,18 +96,18 @@ Key = TypeVar("Key")
 
 #: Parent-side streaming callback: ``on_chunk(chunk_targets, chunk_results)``
 #: per successfully completed chunk, in completion order.  Never pickled and
-#: never shipped to a worker, so any callable works on every transport.
+#: never shipped to a worker, so any callable works.
 OnChunk = Callable[[List[Any], Dict[Any, Any]], None]
 
-#: The transports a caller may request (``auto`` resolves to a concrete one).
-TRANSPORTS = ("auto", "serial", "fork", "shared-memory")
+#: The pool's process start method: ``fork`` where the platform has it,
+#: ``spawn`` otherwise.  Not a caller option — tests monkeypatch it to run
+#: the spawn path on POSIX.
+_START_METHOD = "fork" if "fork" in multiprocessing.get_all_start_methods() \
+    else "spawn"
 
-#: The chunking disciplines a caller may request (see the module docstring).
-CHUNKINGS = ("contiguous", "stealing")
-
-#: Fine-grained chunks per worker under work-stealing.  Higher values level
-#: skew better but pay one claim-lock round-trip per chunk; 4 keeps the
-#: slowest worker's tail at ~1/4 of an even share while the lock stays cold.
+#: Fine-grained chunks per worker.  Higher values level skew better but pay
+#: one claim-lock round-trip per chunk; 4 keeps the slowest worker's tail at
+#: ~1/4 of an even share while the lock stays cold.
 _STEAL_CHUNK_FACTOR = 4
 
 
@@ -152,9 +127,9 @@ class FanOutSpec:
         its last target; the picklable extras are collected on
         :attr:`FanOutResult.extras` (merge caches back from here).
 
-    For the process transports all three must be importable module-level
-    functions (they are pickled by reference); the serial transport also
-    accepts lambdas, which keeps doctests and tests lightweight.
+    For the process pool all three must be importable module-level
+    functions (a spawn worker unpickles them by reference); the serial path
+    also accepts lambdas, which keeps doctests and tests lightweight.
     """
 
     __slots__ = ("compute", "setup", "finalize")
@@ -175,28 +150,24 @@ class FanOutResult(Dict[Any, Any]):
     Attributes
     ----------
     transport:
-        The concrete transport that ran (``"serial"``, ``"fork"`` or
-        ``"shared-memory"`` — never ``"auto"``).
+        What ran: ``"serial"`` (in the parent) or the pool's start method,
+        ``"fork"`` or ``"spawn"``.
     requested_workers:
         The worker count the caller asked for (1 when unspecified).
     effective_workers:
-        The number of worker processes that actually ran — one per
-        contiguous chunk, i.e. ``min(requested_workers, len(targets))``
-        (see :func:`effective_pool_size`: chunks are balanced, so a
-        request is only ever shrunk when there are fewer targets than
-        workers).  The serial transport always reports 1.
+        The number of worker processes that actually ran,
+        ``min(requested_workers, len(targets))`` (see
+        :func:`effective_pool_size`).  The serial path always reports 1.
     extras:
-        The per-worker ``finalize`` returns, in chunk order (empty when the
-        spec has no ``finalize``).
+        The per-worker ``finalize`` returns, in worker submission order
+        (empty when the spec has no ``finalize``).
     state_bytes:
-        Pickled size of the staged ``(spec, shared_state)`` pair, reported
-        on **every** transport so ``--cache-stats`` lines stay comparable:
-        the shared-memory transport reports the segment payload it actually
-        shipped, while fork (which stages the same state copy-on-write) and
-        serial (which stages it in-process) measure the identical pickle
-        without shipping it.  ``None`` only when the state is unpicklable
-        (e.g. lambda specs on the serial transport) — or on engine fast
-        paths that never stage state for a pool at all.
+        Pickled size of the staged ``(spec, shared_state)`` pair — what a
+        spawn worker receives; fork and serial runs measure the identical
+        pickle without shipping it, so ``--cache-stats`` lines stay
+        comparable.  ``None`` when the state is unpicklable (e.g. lambda
+        specs on the serial path) or on engine fast paths that never stage
+        state for a pool at all.
     """
 
     def __init__(self, results: Dict[Any, Any], transport: str,
@@ -216,57 +187,33 @@ class FanOutResult(Dict[Any, Any]):
                 f"workers={self.effective_workers}/{self.requested_workers})")
 
 
-def resolve_transport(transport: str, workers: Optional[int],
-                      n_targets: int) -> str:
-    """The concrete transport a request resolves to.
+def resolve_transport(workers: Optional[int], n_targets: int) -> str:
+    """What a request runs on: ``"serial"`` or the pool's start method.
 
     Examples
     --------
-    >>> resolve_transport("auto", None, 10)
+    >>> resolve_transport(None, 10)
     'serial'
-    >>> resolve_transport("auto", 4, 1)
+    >>> resolve_transport(4, 1)
     'serial'
-    >>> import multiprocessing
-    >>> expected = "fork" if "fork" in multiprocessing.get_all_start_methods() \
-        else "shared-memory"
-    >>> resolve_transport("auto", 4, 10) == expected
+    >>> resolve_transport(4, 10) == _START_METHOD
     True
     """
-    if transport not in TRANSPORTS:
-        raise FanOutError(
-            f"unknown transport {transport!r} (choose from {TRANSPORTS})"
-        )
-    if transport == "serial" or workers is None or workers <= 1 \
-            or n_targets <= 1:
+    if workers is None or workers <= 1 or n_targets <= 1:
         return "serial"
-    if transport == "auto":
-        return "fork" if "fork" in multiprocessing.get_all_start_methods() \
-            else "shared-memory"
-    if transport == "fork" \
-            and "fork" not in multiprocessing.get_all_start_methods():
-        raise FanOutError(
-            "the 'fork' transport is not available on this platform; "
-            "use transport='shared-memory' (or 'auto')"
-        )
-    return transport
+    return _START_METHOD
 
 
 def effective_pool_size(n_targets: int, workers: int) -> int:
-    """Workers that actually run for a request: one per contiguous chunk.
+    """Workers that actually run for a request: ``min(workers, n_targets)``.
 
-    Chunks are balanced (floor size plus one extra target for the first
-    ``n_targets % pool`` chunks), so whenever there are at least as many
-    targets as workers, every requested worker gets a chunk:
-    ``effective == min(workers, n_targets)``.  The earlier ceil-division
-    chunking silently wasted parallelism — 5 targets at 4 workers produced
-    chunks of 2 and ran only 3 workers.  This is the number
-    :attr:`FanOutResult.effective_workers` reports.
+    A request is only ever shrunk when there are fewer targets than
+    workers.  This is the number :attr:`FanOutResult.effective_workers`
+    reports.
 
     Examples
     --------
     >>> effective_pool_size(5, 4)
-    4
-    >>> effective_pool_size(8, 4)
     4
     >>> effective_pool_size(2, 7)
     2
@@ -278,157 +225,65 @@ def effective_pool_size(n_targets: int, workers: int) -> int:
     return min(workers, n_targets)
 
 
-def _chunked(targets: Sequence[Any], pool_size: int) -> List[List[Any]]:
-    """Balanced contiguous chunks, exactly ``pool_size`` of them.
+def _chunked(targets: Sequence[Any], n_chunks: int) -> List[List[Any]]:
+    """Balanced contiguous chunks, exactly ``n_chunks`` of them.
 
-    The first ``len(targets) % pool_size`` chunks carry one extra target
-    (floor + remainder split), so chunk sizes differ by at most one and no
-    requested worker is left without a chunk.  One worker-side context per
-    chunk preserves intra-chunk sharing, and the merged result is re-keyed
-    in the serial target order, so the output is independent of the worker
-    count.
+    The first ``len(targets) % n_chunks`` chunks carry one extra target
+    (floor + remainder split), so chunk sizes differ by at most one.
 
     >>> _chunked(list(range(5)), 4)
     [[0, 1], [2], [3], [4]]
     >>> _chunked(list(range(8)), 4)
     [[0, 1], [2, 3], [4, 5], [6, 7]]
     """
-    base, extra = divmod(len(targets), pool_size)
+    base, extra = divmod(len(targets), n_chunks)
     chunks: List[List[Any]] = []
     start = 0
-    for i in range(pool_size):
+    for i in range(n_chunks):
         size = base + (1 if i < extra else 0)
         chunks.append(list(targets[start:start + size]))
         start += size
     return chunks
 
 
-def _run_chunk(spec: FanOutSpec, state: Any, chunk: List[Any]) -> Dict[str, Any]:
-    """Run one chunk; never raises — failures are returned as data.
-
-    The per-target try/except is what lets the parent name the *offending
-    target* of a failed worker instead of just the chunk.
-    """
-    try:
-        context = state if spec.setup is None else spec.setup(state)
-        results: Dict[Any, Any] = {}
-        for target in chunk:
-            try:
-                results[target] = spec.compute(context, target)
-            except Exception as error:
-                return {"failed": (target,),
-                        "detail": f"{type(error).__name__}: {error}\n"
-                                  + traceback.format_exc()}
-        extra = None if spec.finalize is None else spec.finalize(context)
-    except Exception as error:
-        # setup/finalize failures cannot be pinned on one target.
-        return {"failed": tuple(chunk),
-                "detail": f"{type(error).__name__}: {error}\n"
-                          + traceback.format_exc()}
-    return {"results": results, "extra": extra}
-
-
 # --------------------------------------------------------------------------- #
-# transport plumbing (module-level so the workers pickle by reference)
+# worker side (module-level so a spawn worker unpickles it by reference)
 # --------------------------------------------------------------------------- #
-# fork: the parent stages (spec, state) here *before* the pool forks, so the
-# children inherit it copy-on-write and the payload is just the chunk.
-_FORK_SHARED: Any = None
+# (spec, shared_state, chunks, claim index), installed by the pool
+# initializer: inherited copy-on-write under fork, unpickled once under spawn.
+_WORKER_STATE: Any = None
 
 
-def _fork_chunk(chunk: List[Any]) -> Dict[str, Any]:
-    spec, state = _FORK_SHARED
-    return _run_chunk(spec, state, chunk)
+def _init_worker(spec: FanOutSpec, state: Any, chunks: List[List[Any]],
+                 claim: Any) -> None:
+    global _WORKER_STATE
+    _WORKER_STATE = (spec, state, chunks, claim)
 
 
-# shared-memory: (spec, state) is pickled once into a segment; each spawned
-# worker attaches and unpickles it once, cached per process.
-_SHM_CACHE: Dict[str, Any] = {}
+def _claim_next(claim: Any) -> int:
+    with claim.get_lock():
+        index = claim.value
+        claim.value = index + 1
+    return int(index)
 
 
-def _attach_segment(name: str) -> Any:
-    from multiprocessing import shared_memory
-
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # Python < 3.13 has no track parameter
-        # Attaching would register the segment with the resource tracker,
-        # which the *parent* already did at creation; a second registration
-        # makes the tracker unlink (and warn about) a segment it does not
-        # own when this worker exits.  Suppress registration for the
-        # duration of the attach — the parent remains the sole owner.
-        from multiprocessing import resource_tracker
-
-        original = resource_tracker.register
-
-        def _skip_shared_memory(res_name: str, rtype: str) -> None:
-            if rtype != "shared_memory":
-                original(res_name, rtype)
-
-        resource_tracker.register = _skip_shared_memory
-        try:
-            return shared_memory.SharedMemory(name=name)
-        finally:
-            resource_tracker.register = original
+def _pool_worker() -> Dict[str, Any]:
+    spec, state, chunks, claim = _WORKER_STATE
+    return _claim_loop(spec, state, chunks, lambda: _claim_next(claim))
 
 
-def _shm_chunk(payload: TypingTuple[str, int, List[Any]]) -> Dict[str, Any]:
-    name, size, chunk = payload
-    spec, state = _shm_shared(name, size)
-    return _run_chunk(spec, state, chunk)
-
-
-def _shm_shared(name: str, size: int) -> Any:
-    shared = _SHM_CACHE.get(name)
-    if shared is None:
-        segment = _attach_segment(name)
-        try:
-            shared = pickle.loads(bytes(segment.buf[:size]))
-        finally:
-            segment.close()
-        _SHM_CACHE.clear()  # one pool per process lifetime; keep it bounded
-        _SHM_CACHE[name] = shared
-    return shared
-
-
-# --------------------------------------------------------------------------- #
-# work-stealing chunking
-# --------------------------------------------------------------------------- #
-# The shared claim index: a multiprocessing.Value handed to every worker via
-# the pool initializer (the only channel that reaches both fork and spawn
-# workers — synchronized primitives refuse to travel through submit args).
-_STEAL_CLAIM: Any = None
-
-
-def _steal_init(claim: Any) -> None:
-    global _STEAL_CLAIM
-    _STEAL_CLAIM = claim
-
-
-def _fork_steal_worker(chunks: List[List[Any]]) -> Dict[str, Any]:
-    spec, state = _FORK_SHARED
-    return _steal_loop(spec, state, chunks)
-
-
-def _shm_steal_worker(payload: TypingTuple[str, int, List[List[Any]]]
-                      ) -> Dict[str, Any]:
-    name, size, chunks = payload
-    spec, state = _shm_shared(name, size)
-    return _steal_loop(spec, state, chunks)
-
-
-def _steal_loop(spec: FanOutSpec, state: Any,
-                chunks: List[List[Any]]) -> Dict[str, Any]:
+def _claim_loop(spec: FanOutSpec, state: Any, chunks: List[List[Any]],
+                claim_next: Callable[[], int]) -> Dict[str, Any]:
     """One worker's claim-run loop; never raises — failures return as data.
 
-    The worker repeatedly claims the next unclaimed chunk off the shared
-    index and runs it.  ``setup`` is lazy (first claimed chunk only), so a
-    worker the siblings starve out pays nothing and produces no extra.  On
-    a per-target failure the worker stops claiming and returns early —
-    siblings drain the remaining chunks, and the parent raises with the
-    offending target.  A ``finalize`` failure voids the worker's entire
-    contribution (its per-chunk results cannot be merged without the extra
-    they were computed alongside), reported against every target it ran.
+    The worker repeatedly claims the next unclaimed chunk and runs it.
+    ``setup`` is lazy (first claimed chunk only), so a worker the siblings
+    starve out pays nothing and produces no extra.  On a per-target failure
+    the worker stops claiming and returns early — siblings drain the
+    remaining chunks, and the parent raises with the offending target.  A
+    ``finalize`` failure voids the worker's entire contribution (its
+    per-chunk results cannot be merged without the extra they were
+    computed alongside), reported against every target it ran.
     """
     outcomes: List[TypingTuple[int, Dict[str, Any]]] = []
     context: Any = None
@@ -436,11 +291,9 @@ def _steal_loop(spec: FanOutSpec, state: Any,
     claimed: List[Any] = []
     first_index = len(chunks)
     while True:
-        with _STEAL_CLAIM.get_lock():
-            index = _STEAL_CLAIM.value
-            if index >= len(chunks):
-                break
-            _STEAL_CLAIM.value = index + 1
+        index = claim_next()
+        if index >= len(chunks):
+            break
         chunk = chunks[index]
         first_index = min(first_index, index)
         if not started:
@@ -448,6 +301,7 @@ def _steal_loop(spec: FanOutSpec, state: Any,
             try:
                 context = state if spec.setup is None else spec.setup(state)
             except Exception as error:
+                # setup failures cannot be pinned on one target.
                 outcomes.append((index, _failure(tuple(chunk), error)))
                 return {"outcomes": outcomes}
         results: Dict[Any, Any] = {}
@@ -458,7 +312,7 @@ def _steal_loop(spec: FanOutSpec, state: Any,
                 outcomes.append((index, _failure((target,), error)))
                 return {"outcomes": outcomes}
         claimed.extend(chunk)
-        outcomes.append((index, {"results": results, "extra": None}))
+        outcomes.append((index, {"results": results}))
     extra = None
     if started and spec.finalize is not None:
         try:
@@ -476,87 +330,34 @@ def _failure(targets: TypingTuple[Any, ...],
                       + traceback.format_exc()}
 
 
+# --------------------------------------------------------------------------- #
+# parent side
+# --------------------------------------------------------------------------- #
 def _collect(
-    futures_to_chunks: Sequence[TypingTuple[Any, List[Any]]],
-    transport: str,
-    on_chunk: Optional[OnChunk] = None,
-) -> List[Dict[str, Any]]:
-    """Gather chunk outcomes; raise typed errors, merge nothing on failure.
-
-    Every future is drained before deciding what to raise: a dead worker
-    process breaks the *whole* pool, failing innocent pending futures too,
-    so a per-target failure report from any worker (precise attribution)
-    wins over the broken-pool signal, and the broken-pool error names the
-    union of the chunks that never completed — the dead worker's chunk is
-    always among them.
-
-    With ``on_chunk``, futures are consumed in *completion* order and each
-    successful chunk is reported the moment it lands; failed chunks are
-    never reported, and the outcomes list (hence ``extras``) stays in chunk
-    submission order either way.
-    """
-    pending = {future: (index, chunk) for index, (future, chunk)
-               in enumerate(futures_to_chunks)}
-    slots: List[Optional[Dict[str, Any]]] = [None] * len(pending)
-    broken_chunks: List[TypingTuple[int, List[Any]]] = []
-    broken_error: Optional[BaseException] = None
-    for future in concurrent.futures.as_completed(pending):
-        index, chunk = pending[future]
-        try:
-            outcome = future.result()
-        except BrokenProcessPool as error:
-            broken_chunks.append((index, chunk))
-            broken_error = error
-            continue
-        slots[index] = outcome
-        if on_chunk is not None and "failed" not in outcome:
-            on_chunk(list(chunk), dict(outcome["results"]))
-    outcomes = [outcome for outcome in slots if outcome is not None]
-    # Submission order, so the error message is worker-timing-independent.
-    broken = [target for _, chunk in sorted(broken_chunks)
-              for target in chunk]
-    for outcome in outcomes:
-        if "failed" in outcome:
-            failed = outcome["failed"]
-            raise FanOutWorkerError(
-                f"a fan-out worker failed on target "
-                f"{_describe_targets(failed)}: "
-                f"{outcome['detail'].splitlines()[0]}",
-                targets=failed, transport=transport,
-                detail=outcome["detail"])
-    if broken_error is not None:
-        raise FanOutWorkerError(
-            f"a fan-out worker process died; unfinished chunk(s): "
-            f"{_describe_targets(broken)}",
-            targets=broken, transport=transport,
-            detail=repr(broken_error)) from broken_error
-    return outcomes
-
-
-def _collect_stealing(
     futures: Sequence[Any],
     chunks: List[List[Any]],
     transport: str,
     on_chunk: Optional[OnChunk] = None,
-) -> List[Dict[str, Any]]:
-    """Gather work-stealing worker payloads into ``_merge``-ready outcomes.
+) -> TypingTuple[Dict[Any, Any], List[Any]]:
+    """Gather worker payloads; raise typed errors, merge nothing on failure.
 
-    Same contract as :func:`_collect` — every future drained, a per-target
-    failure report wins over a broken pool, nothing merged on failure — but
-    the accounting is per *claimed chunk*: each worker returns the list of
-    ``(chunk_index, outcome)`` pairs it ran, and a chunk no worker ever
-    claimed (possible only when the pool broke or a worker bailed early)
-    is what the broken-pool error names.  With ``on_chunk``, a worker's
-    successful chunks stream the moment its future lands (the claim loop
-    returns them in one batch, so granularity is per worker, in completion
-    order); failed chunks are never streamed.
+    Every future is drained before deciding what to raise: a dead worker
+    process breaks the *whole* pool, failing innocent futures too, so a
+    per-target failure report from any worker (precise attribution) wins
+    over the broken-pool signal.  Each worker returns the ``(chunk_index,
+    outcome)`` pairs it ran; a chunk no worker reported (possible only when
+    the pool broke) is what the broken-pool error names.  With
+    ``on_chunk``, a worker's successful chunks stream the moment its future
+    lands, in completion order; failed chunks are never streamed.
+
+    Returns the merged per-target results and the ``finalize`` extras in
+    worker submission order.
     """
-    pending = {future: position for position, future in enumerate(futures)}
+    position = {future: slot for slot, future in enumerate(futures)}
     ran: Dict[int, Dict[str, Any]] = {}
     extras_slots: List[Any] = [None] * len(futures)
     broken_error: Optional[BaseException] = None
-    for future in concurrent.futures.as_completed(pending):
-        position = pending[future]
+    for future in concurrent.futures.as_completed(position):
         try:
             payload = future.result()
         except BrokenProcessPool as error:
@@ -566,7 +367,7 @@ def _collect_stealing(
             ran[index] = outcome
             if on_chunk is not None and "failed" not in outcome:
                 on_chunk(list(chunks[index]), dict(outcome["results"]))
-        extras_slots[position] = payload.get("extra")
+        extras_slots[position[future]] = payload.get("extra")
     failures = sorted((index, outcome) for index, outcome in ran.items()
                       if "failed" in outcome)
     if failures:
@@ -577,22 +378,22 @@ def _collect_stealing(
             f"{outcome['detail'].splitlines()[0]}",
             targets=outcome["failed"], transport=transport,
             detail=outcome["detail"])
-    unclaimed = [target for index, chunk in enumerate(chunks)
-                 if index not in ran for target in chunk]
+    unreported = [target for index, chunk in enumerate(chunks)
+                  if index not in ran for target in chunk]
     if broken_error is not None:
         raise FanOutWorkerError(
             f"a fan-out worker process died; unfinished chunk(s): "
-            f"{_describe_targets(unclaimed)}",
-            targets=unclaimed, transport=transport,
+            f"{_describe_targets(unreported)}",
+            targets=unreported, transport=transport,
             detail=repr(broken_error)) from broken_error
-    if unclaimed:  # invariant guard: no error, yet chunks went unrun
+    if unreported:  # invariant guard: no error, yet chunks went unrun
         raise FanOutError(
-            f"work-stealing pool lost chunk(s) without reporting an error: "
-            f"{_describe_targets(unclaimed)}")
-    outcomes = [ran[index] for index in sorted(ran)]
-    outcomes.extend({"results": {}, "extra": extra}
-                    for extra in extras_slots if extra is not None)
-    return outcomes
+            f"fan-out pool lost chunk(s) without reporting an error: "
+            f"{_describe_targets(unreported)}")
+    results: Dict[Any, Any] = {}
+    for index in sorted(ran):
+        results.update(ran[index]["results"])
+    return results, [extra for extra in extras_slots if extra is not None]
 
 
 def _describe_targets(targets: Sequence[Any]) -> str:
@@ -604,73 +405,60 @@ def _describe_targets(targets: Sequence[Any]) -> str:
 
 def fan_out(targets: Sequence[Key], shared_state: Any, spec: FanOutSpec,
             workers: Optional[int] = None,
-            transport: str = "auto",
-            on_chunk: Optional[OnChunk] = None,
-            chunking: str = "contiguous") -> FanOutResult:
+            on_chunk: Optional[OnChunk] = None) -> FanOutResult:
     """Run ``spec`` over ``targets`` with workers sharing ``shared_state``.
 
-    Each worker receives the *whole* shared state through its transport
-    (fork inheritance or the pickle-once shared-memory segment — never one
-    pickle per chunk) plus target keys: under ``chunking="contiguous"`` one
-    balanced chunk assigned up front, under ``chunking="stealing"`` a view
-    of all fine-grained chunks plus the shared claim index to pull them
-    from (skew insurance — see the module docstring).  Results come back as
-    a :class:`FanOutResult` keyed in the serial target order either way;
-    the serial transport ignores ``chunking`` (one process, one chunk).
+    ``min(workers, len(targets))`` worker processes receive the *whole*
+    shared state once, through the pool initializer, and claim
+    fine-grained chunks of targets off a shared index (see the module
+    docstring).  One worker or one target runs serially in the parent.
+    Results come back as a :class:`FanOutResult` keyed in the serial
+    target order either way.
 
     ``on_chunk`` streams each successful chunk to the parent the moment its
-    worker finishes (completion order); the serial transport reports its
-    single chunk once it completes.  The callback runs in the parent and is
-    never shipped to a worker; an exception it raises propagates to the
-    caller.
+    worker returns (completion order); the serial path reports its single
+    chunk once it completes.  The callback runs in the parent and is never
+    shipped to a worker; an exception it raises propagates to the caller.
 
     Raises :class:`~repro.exceptions.FanOutWorkerError` when a worker raises
     or dies; in that case nothing is merged, so the caller's state is
-    untouched (sibling chunks still run to completion — all chunks start
-    concurrently, so the wait is bounded by the slowest one — and the
+    untouched (sibling workers still drain the remaining chunks, and their
     successful ones are still streamed before the raise).
     """
-    if chunking not in CHUNKINGS:
-        raise FanOutError(
-            f"unknown chunking {chunking!r} (choose from {CHUNKINGS})"
-        )
     requested = 1 if workers is None else workers
-    concrete = resolve_transport(transport, workers, len(targets))
-    if concrete == "serial":
-        outcomes = _collect_serial(targets, shared_state, spec, on_chunk)
-        return _merge(targets, outcomes, "serial", requested, 1,
-                      _measure_staged_bytes(spec, shared_state))
-
-    pool_size = min(requested, len(targets))
-    if chunking == "stealing":
-        outcomes, state_bytes = _fan_out_stealing(
-            targets, shared_state, spec, concrete, pool_size, on_chunk)
-        # Every worker participates in the claim loop; report the pool size.
-        return _merge(targets, outcomes, concrete, requested, pool_size,
-                      state_bytes)
-
-    chunks = _chunked(targets, pool_size)
-    if concrete == "fork":
-        outcomes = _fan_out_fork(chunks, shared_state, spec, on_chunk)
-        state_bytes = _measure_staged_bytes(spec, shared_state)
+    transport = resolve_transport(workers, len(targets))
+    pool_size = effective_pool_size(len(targets), requested)
+    state_bytes = _measure_staged_bytes(spec, shared_state)
+    if transport == "serial":
+        chunks = [list(targets)]
+        done: concurrent.futures.Future[Dict[str, Any]] = \
+            concurrent.futures.Future()
+        done.set_result(_claim_loop(spec, shared_state, chunks,
+                                    itertools.count().__next__))
+        results, extras = _collect([done], chunks, transport, on_chunk)
     else:
-        outcomes, state_bytes = _fan_out_shared_memory(
-            chunks, shared_state, spec, on_chunk)
-    # One worker per chunk actually runs; report that, not the request.
-    return _merge(targets, outcomes, concrete, requested, len(chunks),
-                  state_bytes)
+        chunks = _chunked(targets, min(len(targets),
+                                       pool_size * _STEAL_CHUNK_FACTOR))
+        context = multiprocessing.get_context(transport)
+        claim = context.Value("l", 0)
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=pool_size, mp_context=context,
+                initializer=_init_worker,
+                initargs=(spec, shared_state, chunks, claim)) as pool:
+            futures = [pool.submit(_pool_worker) for _ in range(pool_size)]
+            results, extras = _collect(futures, chunks, transport, on_chunk)
+    ordered = {target: results[target] for target in targets}
+    return FanOutResult(ordered, transport, requested, pool_size, extras,
+                        state_bytes)
 
 
 def _measure_staged_bytes(spec: FanOutSpec, shared_state: Any
                           ) -> Optional[int]:
     """Pickled size of the staged state, without shipping it anywhere.
 
-    What the shared-memory transport would put in its segment; measured
-    explicitly for the serial and fork transports so
-    :attr:`FanOutResult.state_bytes` is comparable across all three.
     Falls back to the state alone when the spec is unpicklable (the serial
-    transport accepts lambda specs), and to ``None`` when even the state
-    will not pickle.
+    path accepts lambda specs), and to ``None`` when even the state will
+    not pickle.
     """
     try:
         return len(pickle.dumps((spec, shared_state),
@@ -681,128 +469,3 @@ def _measure_staged_bytes(spec: FanOutSpec, shared_state: Any
                                     protocol=pickle.HIGHEST_PROTOCOL))
         except Exception:
             return None
-
-
-def _collect_serial(targets: Sequence[Any], shared_state: Any,
-                    spec: FanOutSpec,
-                    on_chunk: Optional[OnChunk] = None
-                    ) -> List[Dict[str, Any]]:
-    outcome = _run_chunk(spec, shared_state, list(targets))
-    if "failed" in outcome:
-        raise FanOutWorkerError(
-            f"a fan-out worker failed on target "
-            f"{_describe_targets(outcome['failed'])}: "
-            f"{outcome['detail'].splitlines()[0]}",
-            targets=outcome["failed"], transport="serial",
-            detail=outcome["detail"])
-    if on_chunk is not None:
-        on_chunk(list(targets), dict(outcome["results"]))
-    return [outcome]
-
-
-def _fan_out_stealing(targets: Sequence[Any], shared_state: Any,
-                      spec: FanOutSpec, concrete: str, pool_size: int,
-                      on_chunk: Optional[OnChunk] = None
-                      ) -> TypingTuple[List[Dict[str, Any]], Optional[int]]:
-    """Work-stealing fan-out over fine-grained chunks on either transport.
-
-    ``_STEAL_CHUNK_FACTOR`` chunks per worker (capped at one target per
-    chunk) go behind a shared claim index created from the pool's own
-    multiprocessing context and shipped via the pool *initializer* — the
-    one channel that reaches fork and spawn workers alike.  Exactly
-    ``pool_size`` workers are submitted; each loops claiming chunks until
-    the index runs off the end.
-    """
-    n_chunks = min(len(targets), pool_size * _STEAL_CHUNK_FACTOR)
-    chunks = _chunked(targets, n_chunks)
-    method = "fork" if concrete == "fork" else "spawn"
-    context = multiprocessing.get_context(method)
-    claim = context.Value("l", 0)
-    if concrete == "fork":
-        global _FORK_SHARED
-        _FORK_SHARED = (spec, shared_state)
-        try:
-            with concurrent.futures.ProcessPoolExecutor(
-                    max_workers=pool_size, mp_context=context,
-                    initializer=_steal_init, initargs=(claim,)) as pool:
-                futures = [pool.submit(_fork_steal_worker, chunks)
-                           for _ in range(pool_size)]
-                outcomes = _collect_stealing(futures, chunks, concrete,
-                                             on_chunk)
-        finally:
-            _FORK_SHARED = None
-        return outcomes, _measure_staged_bytes(spec, shared_state)
-
-    from multiprocessing import shared_memory
-
-    blob = pickle.dumps((spec, shared_state),
-                        protocol=pickle.HIGHEST_PROTOCOL)
-    segment = shared_memory.SharedMemory(create=True, size=max(1, len(blob)))
-    try:
-        segment.buf[:len(blob)] = blob
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=pool_size, mp_context=context,
-                initializer=_steal_init, initargs=(claim,)) as pool:
-            futures = [pool.submit(_shm_steal_worker,
-                                   (segment.name, len(blob), chunks))
-                       for _ in range(pool_size)]
-            outcomes = _collect_stealing(futures, chunks, concrete, on_chunk)
-        return outcomes, len(blob)
-    finally:
-        segment.close()
-        segment.unlink()
-
-
-def _fan_out_fork(chunks: List[List[Any]], shared_state: Any,
-                  spec: FanOutSpec,
-                  on_chunk: Optional[OnChunk] = None) -> List[Dict[str, Any]]:
-    global _FORK_SHARED
-    context = multiprocessing.get_context("fork")
-    _FORK_SHARED = (spec, shared_state)
-    try:
-        # The pool forks its workers on first submit — after the staging
-        # above, so every worker inherits the shared state copy-on-write.
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=len(chunks), mp_context=context) as pool:
-            pairs = [(pool.submit(_fork_chunk, chunk), chunk)
-                     for chunk in chunks]
-            return _collect(pairs, "fork", on_chunk)
-    finally:
-        _FORK_SHARED = None
-
-
-def _fan_out_shared_memory(chunks: List[List[Any]], shared_state: Any,
-                           spec: FanOutSpec,
-                           on_chunk: Optional[OnChunk] = None
-                           ) -> TypingTuple[List[Dict[str, Any]], int]:
-    from multiprocessing import shared_memory
-
-    blob = pickle.dumps((spec, shared_state),
-                        protocol=pickle.HIGHEST_PROTOCOL)
-    segment = shared_memory.SharedMemory(create=True, size=max(1, len(blob)))
-    try:
-        segment.buf[:len(blob)] = blob
-        context = multiprocessing.get_context("spawn")
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=len(chunks), mp_context=context) as pool:
-            pairs = [(pool.submit(_shm_chunk,
-                                  (segment.name, len(blob), chunk)), chunk)
-                     for chunk in chunks]
-            return _collect(pairs, "shared-memory", on_chunk), len(blob)
-    finally:
-        segment.close()
-        segment.unlink()
-
-
-def _merge(targets: Sequence[Any], outcomes: List[Dict[str, Any]],
-           transport: str, requested: int, effective: int,
-           state_bytes: Optional[int] = None) -> FanOutResult:
-    results: Dict[Any, Any] = {}
-    extras: List[Any] = []
-    for outcome in outcomes:
-        results.update(outcome["results"])
-        if outcome["extra"] is not None:
-            extras.append(outcome["extra"])
-    ordered = {target: results[target] for target in targets}
-    return FanOutResult(ordered, transport, requested, effective, extras,
-                        state_bytes)

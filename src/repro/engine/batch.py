@@ -20,8 +20,8 @@ Independent answers can optionally be fanned out over worker processes
 finishes the open-query pass first and the workers *inherit* it — the
 pre-grouped per-answer valuations, the exogenous set and a read-only
 :meth:`~repro.relational.session.BackendSession.fanout_snapshot` of the
-database travel by fork inheritance or one pickled shared-memory segment,
-never per chunk — so no worker re-runs any valuation pass.  Workers send
+database reach each worker once, never per chunk — so no worker re-runs any
+valuation pass.  Workers send
 back ranked :class:`Explanation`\\ s plus their
 :class:`~repro.engine.cache.LineageCache` entries, which merge into the
 parent's cache (the keys are database-independent, so the merge is sound);
@@ -69,21 +69,14 @@ from ..relational.columnar import ConjunctGroup, ValuationBlock, \
     materialize_conjuncts
 from ..relational.database import Database
 from ..relational.delta import DatabaseDelta
-from ..relational.evaluation import Valuation, shard_variable
 from ..relational.query import ConjunctiveQuery, Constant, Variable, match_atom
 from ..relational.session import BackendSession, open_session
-from ..relational.tuples import Tuple, stable_partition, value_sort_key
+from ..relational.tuples import Tuple, value_sort_key
 from ._pool import FanOutResult, FanOutSpec, OnChunk, fan_out, \
     resolve_transport
 from .cache import CacheShard, LineageCache
 
 Answer = TypingTuple[Any, ...]
-
-#: Answer-hash shards per requested worker under ``sharded=True``.  Several
-#: shards per worker is what gives work-stealing something to steal: with
-#: one shard each, a skewed shard pins its worker for the whole batch.
-_SHARD_FACTOR = 4
-
 
 def _answer_order_key(answer: Answer) -> TypingTuple[Any, ...]:
     """Deterministic ordering for answer tuples with mixed value types."""
@@ -228,47 +221,31 @@ class BatchExplainer:
     # ------------------------------------------------------------------ #
     # shared evaluation
     # ------------------------------------------------------------------ #
-    def _head_values(self, valuation: Valuation) -> Answer:
-        row = []
-        for term in self.query.head:
-            if isinstance(term, Variable):
-                row.append(valuation.assignment[term])
-            else:
-                assert isinstance(term, Constant)
-                row.append(term.value)
-        return tuple(row)
-
     def _run_full_pass(self) -> None:
         """One evaluation of the open query; group conjuncts by answer.
 
         The memory evaluator runs the columnar valuation pass
         (``valuations_blocks``): groups stay in block form and lineage
         conjuncts materialise lazily, per answer, when an explanation or a
-        refresh first touches that answer (:meth:`_conjuncts_for`).  When
-        the evaluator instead groups in the backend (the SQLite one sorts
-        by head columns so each answer's rows arrive contiguously), the
-        groups are consumed run by run off the streamed cursor; the plain
-        backtracking fallback groups through a Python dictionary.  Either
-        way the per-answer conjunct sets are identical
+        refresh first touches that answer (:meth:`_conjuncts_for`).  The
+        SQLite evaluator instead groups in the backend (it sorts by head
+        columns so each answer's rows arrive contiguously), and the groups
+        are consumed run by run off the streamed cursor.  Either way the
+        per-answer conjunct sets are identical
         (:class:`~repro.lineage.boolean_expr.PositiveDNF` canonicalises
         conjunct order).
         """
         if self._full_pass_done:
             return
-        grouped: Dict[Answer, ConjunctGroup] = {}
         blocks_pass = getattr(self._evaluator, "valuations_blocks", None)
-        grouped_pass = getattr(self._evaluator, "grouped_valuations", None) \
-            if blocks_pass is None else None
         if blocks_pass is not None:
-            grouped = blocks_pass(self.query)
-        elif grouped_pass is not None:
-            for head, valuations in grouped_pass(self.query):
+            grouped: Dict[Answer, ConjunctGroup] = blocks_pass(self.query)
+        else:
+            grouped = {}
+            for head, valuations in \
+                    self._evaluator.grouped_valuations(self.query):
                 grouped.setdefault(head, []).extend(
                     v.tuples() for v in valuations)
-        else:
-            for valuation in self._evaluator.valuations(self.query):
-                grouped.setdefault(self._head_values(valuation), []).append(
-                    valuation.tuples())
         self._conjuncts = grouped
         self._full_pass_done = True
         index = self.session.create_lineage_index()
@@ -400,47 +377,25 @@ class BatchExplainer:
 
     def explain_all(self, answers: Optional[Iterable[Sequence[Any]]] = None,
                     workers: Optional[int] = None,
-                    transport: str = "auto",
-                    on_chunk: Optional[OnChunk] = None,
-                    sharded: bool = False,
-                    chunking: Optional[str] = None) -> FanOutResult:
+                    on_chunk: Optional[OnChunk] = None) -> FanOutResult:
         """Explanations for every answer (or the given subset), keyed by answer.
 
-        ``workers`` > 1 fans the answers out over worker processes in
-        contiguous chunks.  The parent completes the open-query valuation
-        pass first; every worker *inherits* the resulting per-answer groups,
-        the exogenous set and a read-only snapshot of the database through
-        the chosen ``transport`` (see :mod:`repro.engine._pool`: ``"auto"``,
-        ``"serial"``, ``"fork"``, ``"shared-memory"``), so no worker re-runs
-        a valuation pass.  Afterwards the workers' explanations are memoized
-        and their :class:`~repro.engine.cache.LineageCache` entries merged
-        into this explainer, leaving its state exactly as a serial run would
-        — bit-identical results, keyed in the serial answer order regardless
+        ``workers`` > 1 fans the answers out over worker processes (see
+        :mod:`repro.engine._pool`).  The parent completes the open-query
+        valuation pass first — or reuses the one it already has — and every
+        worker *inherits* the resulting per-answer groups, the exogenous set
+        and a read-only snapshot of the database, so no worker re-runs a
+        valuation pass.  Workers claim fine-grained chunks of answers off a
+        shared index, so one answer with a huge lineage delays only its own
+        chunk.  Afterwards the workers' explanations are memoized and their
+        :class:`~repro.engine.cache.LineageCache` entries merged into this
+        explainer, leaving its state exactly as a serial run would —
+        bit-identical results, keyed in the serial answer order regardless
         of the worker count.
-
-        ``sharded=True`` additionally parallelises the valuation pass
-        itself: instead of inheriting a parent-finished pass, the answer
-        heads are hash-partitioned on the first head variable
-        (:func:`~repro.relational.tuples.stable_partition`) and every
-        worker runs its own semi-join-pruned ``valuations_blocks`` pass
-        restricted to the shards it claims — the parent never evaluates.
-        Sharding engages only when it can help (no full pass done yet, a
-        head variable to partition on, a non-serial transport); otherwise
-        the call falls back to the inherit path, so results are identical
-        either way.  Workers start from a **pre-seed** of the parent's
-        :class:`~repro.engine.cache.LineageCache` entries and return
-        mergeable :class:`~repro.engine.cache.CacheShard`\\ s, keeping
-        refresh-then-parallel incremental with commutative, lock-free
-        merges.
-
-        ``chunking`` picks the pool discipline (``"contiguous"`` or
-        ``"stealing"``; see :mod:`repro.engine._pool`).  The default is
-        ``"stealing"`` under ``sharded=True`` — shard costs are skewed by
-        construction — and ``"contiguous"`` otherwise.
 
         ``on_chunk`` streams ranked explanations back incrementally instead
         of one dict at the end: the serial path reports each answer as it is
-        explained, the parallel paths report each worker chunk as it
+        explained, the parallel path reports each worker chunk as it
         completes (already-memoized answers are streamed first, as one
         chunk, without touching a worker).  On a worker failure the
         delivered chunks stand, the typed
@@ -468,29 +423,13 @@ class BatchExplainer:
         >>> explainer.explain_all().transport
         'serial'
         """
-        if chunking is None:
-            chunking = "stealing" if sharded else "contiguous"
-        if sharded and not self._full_pass_done \
-                and shard_variable(self.query) is not None:
-            explicit = None if answers is None \
-                else [tuple(a) for a in answers]
-            # Probe with the shard count (answers are unknown pre-pass —
-            # counting them would run the very pass sharding avoids).
-            n_probe = len(explicit) if explicit is not None \
-                else max(1, (1 if workers is None else workers)) \
-                * _SHARD_FACTOR
-            if resolve_transport(transport, workers, n_probe) != "serial":
-                return self._explain_all_sharded(explicit, workers,
-                                                 transport, on_chunk,
-                                                 chunking)
         if answers is None:
             targets = self.answers()
         else:
             targets = [tuple(a) for a in answers]
         requested = 1 if workers is None else workers
-        concrete = resolve_transport(transport, workers, len(targets))
         pending = targets
-        if concrete != "serial":
+        if resolve_transport(workers, len(targets)) != "serial":
             # Finish the shared pass here, so the workers inherit it.
             self._run_full_pass()
             for target in targets:
@@ -503,8 +442,7 @@ class BatchExplainer:
             # Memoized answers (e.g. kept across a refresh) are served from
             # the parent; only the rest is worth shipping to workers.
             pending = [t for t in targets if t not in self._explanations]
-            concrete = resolve_transport(transport, workers, len(pending))
-        if concrete == "serial":
+        if resolve_transport(workers, len(pending)) == "serial":
             results = {}
             for answer in targets:
                 results[answer] = self.explain(answer)
@@ -525,8 +463,7 @@ class BatchExplainer:
                                   self.cache.export_entries())
         try:
             result = fan_out(pending, state, _WHYSO_SPEC, workers=workers,
-                             transport=concrete, on_chunk=on_chunk,
-                             chunking=chunking)
+                             on_chunk=on_chunk)
         except FanOutWorkerError as error:
             # Name the whole batch on the error, so a streaming consumer can
             # mark exactly which targets were requested but never delivered.
@@ -541,111 +478,6 @@ class BatchExplainer:
             self.cache.merge_shard(shard)
         return FanOutResult({t: self._explanations[t] for t in targets},
                             result.transport, requested,
-                            result.effective_workers, result.extras,
-                            result.state_bytes)
-
-    def _explain_all_sharded(self, explicit: Optional[List[Answer]],
-                             workers: Optional[int], transport: str,
-                             on_chunk: Optional[OnChunk],
-                             chunking: str) -> FanOutResult:
-        """Fan out answer-partitioned valuation passes (``sharded=True``).
-
-        The fan-out *targets* are shard indices, not answers: each worker
-        claims shards and runs :meth:`QueryEvaluator.valuations_blocks`
-        restricted to that partition of the answer heads, then explains the
-        shard's answers against its own pass.  The shard partition is
-        disjoint and covering (see ``_restrict_plans_to_shard``), so the
-        union of the per-shard explanation dicts equals the serial batch
-        bit-for-bit.  With explicit ``answers``, validation that each
-        target is an answer necessarily moves into the workers (the parent
-        has no pass to check against); a worker marks a non-answer with
-        ``None`` and the parent raises the same
-        :class:`~repro.exceptions.CausalityError` as the serial path,
-        before merging anything.
-        """
-        requested = 1 if workers is None else workers
-        n_shards = max(1, requested) * _SHARD_FACTOR
-        served: Dict[Answer, Explanation] = {}
-        shard_targets: Optional[Dict[int, List[Answer]]] = None
-        if explicit is None:
-            shard_indices: List[int] = list(range(n_shards))
-        else:
-            pending = list(dict.fromkeys(
-                t for t in explicit if t not in self._explanations))
-            served = {t: self._explanations[t] for t in explicit
-                      if t in self._explanations}
-            # Head position of the partition variable — the coordinate of
-            # an answer tuple that determines its shard.
-            position = next(i for i, term in enumerate(self.query.head)
-                            if isinstance(term, Variable))
-            shard_targets = {}
-            for target in pending:
-                shard = stable_partition(target[position], n_shards)
-                shard_targets.setdefault(shard, []).append(target)
-            for bucket in shard_targets.values():
-                bucket.sort(key=_answer_order_key)
-            shard_indices = sorted(shard_targets)
-        if served:
-            self.memo_hits += len(served)
-            if on_chunk is not None:
-                on_chunk(sorted(served, key=_answer_order_key), dict(served))
-        if not shard_indices:
-            return FanOutResult(
-                {t: self._explanations[t] for t in explicit or ()},
-                "serial", requested, 1)
-
-        relay: Optional[OnChunk] = None
-        if on_chunk is not None:
-            def relay(chunk_shards: List[Any],
-                      chunk_results: Dict[Any, Any]) -> None:
-                # Unwrap shard dicts into the per-answer stream the
-                # explanation consumers expect; workers mark explicit
-                # non-answers with None, which never reaches the stream.
-                for shard in chunk_shards:
-                    delivered = {key: value
-                                 for key, value in chunk_results[shard].items()
-                                 if value is not None}
-                    if delivered:
-                        on_chunk(sorted(delivered, key=_answer_order_key),
-                                 delivered)
-
-        state = _ShardedWhySoState(self.query,
-                                   self.session.fanout_snapshot(),
-                                   self.method, frozenset(self._exogenous),
-                                   n_shards, shard_targets,
-                                   self.cache.export_entries())
-        try:
-            result = fan_out(shard_indices, state, _SHARDED_WHYSO_SPEC,
-                             workers=workers, transport=transport,
-                             on_chunk=relay, chunking=chunking)
-        except FanOutWorkerError as error:
-            if explicit is not None:
-                error.requested = tuple(explicit)
-            raise
-        flat: Dict[Answer, Optional[Explanation]] = {}
-        for shard in shard_indices:
-            flat.update(result[shard])
-        if explicit is not None:
-            for target in explicit:
-                if flat.get(target, served.get(target)) is None:
-                    # Same error, same message, as the serial path — just
-                    # detected by the worker that owned the shard.
-                    raise CausalityError(
-                        f"{target!r} is not an answer on this database; "
-                        "use mode='why-no'"
-                    )
-        explained = cast(Dict[Answer, Explanation], flat)
-        self.memo_misses += len(explained)
-        self._explanations.update(explained)
-        for shard_extra in result.extras:
-            self.cache.merge_shard(shard_extra)
-        if explicit is None:
-            ordered = {answer: explained[answer]
-                       for answer in sorted(explained,
-                                            key=_answer_order_key)}
-        else:
-            ordered = {t: self._explanations[t] for t in explicit}
-        return FanOutResult(ordered, result.transport, requested,
                             result.effective_workers, result.extras,
                             result.state_bytes)
 
@@ -963,86 +795,9 @@ _WHYSO_SPEC = FanOutSpec(compute=_whyso_worker_explain,
                          finalize=_whyso_worker_export_cache)
 
 
-class _ShardedWhySoState:
-    """What a sharded Why-So worker starts from: *no* finished pass.
-
-    Unlike :class:`_WhySoFanOutState` there are no per-answer groups here —
-    each worker derives its own, by running the columnar pass restricted to
-    the shards it claims over the read-only database snapshot.  The state
-    carries the partition geometry (``n_shards``), the optional explicit
-    targets per shard, and the parent's cache pre-seed.
-    """
-
-    __slots__ = ("query", "database", "method", "exogenous", "n_shards",
-                 "shard_targets", "cache_seed")
-
-    def __init__(self, query: ConjunctiveQuery, database: Database,
-                 method: str, exogenous: FrozenSet[Tuple], n_shards: int,
-                 shard_targets: Optional[Dict[int, List[Answer]]],
-                 cache_seed: Optional[Dict[Any, Any]]) -> None:
-        self.query = query
-        self.database = database
-        self.method = method
-        self.exogenous = exogenous
-        self.n_shards = n_shards
-        self.shard_targets = shard_targets
-        self.cache_seed = cache_seed
-
-
-def _sharded_whyso_setup(state: _ShardedWhySoState) -> Any:
-    """One memory-backend explainer per worker, shared across its shards.
-
-    The explainer persists over every shard the worker claims, so the
-    evaluator's relation indexes, the shard bucket cache
-    (``QueryEvaluator._shard_buckets``) and the lineage cache all amortise
-    across claims instead of being rebuilt per shard.
-    """
-    explainer = BatchExplainer(state.query, state.database,
-                               method=state.method)
-    explainer._exogenous = state.exogenous
-    if state.cache_seed:
-        explainer.cache.merge_entries(state.cache_seed)
-    return (explainer, state)
-
-
-def _sharded_whyso_explain(context: Any, shard: int
-                           ) -> Dict[Answer, Optional[Explanation]]:
-    """Run the shard-restricted pass, then explain the shard's answers.
-
-    Returns the full per-answer dict for the shard (all-answers mode) or
-    one entry per assigned explicit target, with ``None`` marking a target
-    that is not an answer — the parent turns that into the serial path's
-    :class:`~repro.exceptions.CausalityError`.
-    """
-    explainer, state = context
-    blocks = explainer.session.evaluator.valuations_blocks(
-        state.query, shard=(shard, state.n_shards))
-    explainer._conjuncts = dict(blocks)
-    explainer._full_pass_done = True
-    if state.shard_targets is None:
-        return {answer: explainer.explain(answer)
-                for answer in sorted(blocks, key=_answer_order_key)}
-    results: Dict[Answer, Optional[Explanation]] = {}
-    for target in state.shard_targets[shard]:
-        results[target] = explainer.explain(target) if target in blocks \
-            else None
-    return results
-
-
-def _sharded_whyso_export(context: Any) -> CacheShard:
-    explainer, state = context
-    return explainer.cache.export_shard(baseline=state.cache_seed)
-
-
-_SHARDED_WHYSO_SPEC = FanOutSpec(compute=_sharded_whyso_explain,
-                                 setup=_sharded_whyso_setup,
-                                 finalize=_sharded_whyso_export)
-
-
 def batch_explain(query: ConjunctiveQuery, database: Database,
                   method: str = "auto", workers: Optional[int] = None,
-                  backend: str = "memory",
-                  transport: str = "auto") -> Dict[Answer, Explanation]:
+                  backend: str = "memory") -> Dict[Answer, Explanation]:
     """One-shot convenience: explanations for every answer of ``query``.
 
     Examples
@@ -1056,5 +811,4 @@ def batch_explain(query: ConjunctiveQuery, database: Database,
     [('a2',)]
     """
     return BatchExplainer(query, database, method=method,
-                          backend=backend).explain_all(workers=workers,
-                                                       transport=transport)
+                          backend=backend).explain_all(workers=workers)

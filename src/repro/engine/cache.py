@@ -40,7 +40,7 @@ from ..relational.tuples import Tuple
 class CacheShard:
     """A worker's contribution to a shared :class:`LineageCache`.
 
-    The shard-parallel engines give every fan-out worker its *own* cache and
+    The fan-out gives every worker process its *own* cache and
     merge the pieces back commutatively — the split-hot-records treatment
     applied to the memo table: no lock, no contention, just per-worker maps
     whose union (and counter sums) is taken on return.  A shard carries the

@@ -44,8 +44,8 @@ class BackendError(ReproError):
 
 
 class FanOutError(CausalityError):
-    """The parallel fan-out layer could not run as requested (unknown or
-    unavailable transport, malformed task).  Derives from
+    """The parallel fan-out layer could not run as requested (e.g. the pool
+    lost chunks without reporting an error).  Derives from
     :class:`CausalityError` so callers guarding an ``explain_all`` keep
     catching one exception type whether it runs serial or fanned out."""
 
@@ -61,7 +61,7 @@ class FanOutWorkerError(FanOutError):
         this is a one-element tuple and :attr:`target` names it; when the
         worker *process* died mid-chunk, every target of the chunk is listed.
     transport:
-        The transport that ran the worker.
+        What ran the worker: ``"serial"``, ``"fork"`` or ``"spawn"``.
     detail:
         Human-readable failure detail (exception repr or worker traceback).
     requested:

@@ -1,11 +1,11 @@
 """Rule ``pickle-safety``: only module-level callables cross the fan-out seam.
 
 :class:`repro.engine._pool.FanOutSpec` ships its ``compute``/``setup``/
-``finalize`` callables to worker processes.  The fork transport tolerates
-closures by accident of inheritance; the shared-memory and any future spawn
-transport pickle them by qualified name — so a lambda, a nested ``def``, or
-a bound method handed to ``FanOutSpec`` works on one transport and dies on
-another.  This rule pins the contract at the call site: every callable
+``finalize`` callables to worker processes.  A forked worker tolerates
+closures by accident of inheritance; a spawned worker (the start method
+wherever the platform lacks ``fork``) unpickles them by qualified name — so
+a lambda, a nested ``def``, or a bound method handed to ``FanOutSpec``
+works under one start method and dies under the other.  This rule pins the contract at the call site: every callable
 argument to a ``FanOutSpec(...)`` construction must be ``None`` or a name
 bound at module level in the same file (a ``def``, an import, or a
 module-level assignment).
@@ -84,12 +84,12 @@ class PickleSafetyRule(Rule):
                     yield ctx.finding(
                         value, self.id,
                         f"FanOutSpec {role}={problem}; pass a module-level "
-                        f"function so every transport can pickle it by "
+                        f"function so every start method can pickle it by "
                         f"qualified name")
 
     def _diagnose(self, value: ast.expr, module_names: Set[str],
                   nested_names: Set[str]) -> Optional[str]:
-        """None when ``value`` is transport-safe, else a short diagnosis."""
+        """None when ``value`` is pickle-safe, else a short diagnosis."""
         if isinstance(value, ast.Constant) and value.value is None:
             return None
         if isinstance(value, ast.Lambda):

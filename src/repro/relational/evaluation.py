@@ -54,22 +54,7 @@ from .columnar import (
 )
 from .database import Database
 from .query import Atom, ConjunctiveQuery, Constant, Variable
-from .tuples import Tuple, stable_partition, value_sort_key
-
-
-def shard_variable(query: ConjunctiveQuery) -> Optional[Variable]:
-    """The head variable the shard-parallel engines partition answers on.
-
-    The first variable occurring in the head, or ``None`` when the head has
-    no variables (Boolean or all-constant heads cannot be partitioned —
-    shard 0 then owns the whole answer space).  Module-level so the batch
-    engines assign explicit targets to shards with exactly the variable the
-    evaluator restricts its pass on.
-    """
-    for term in query.head:
-        if isinstance(term, Variable):
-            return term
-    return None
+from .tuples import Tuple, value_sort_key
 
 
 class Valuation:
@@ -280,11 +265,6 @@ class QueryEvaluator:
         # store per (relation, status) — patched by :meth:`apply_changes`.
         self._dictionary = ValueDictionary()
         self._stores: Dict[TypingTuple[str, Optional[bool]], ColumnStore] = {}
-        # Shard row buckets, cached per (relation, status, position, count):
-        # one O(relation) bucketing scan serves every shard-restricted pass
-        # a worker runs, so the per-shard cost is O(shard), not O(relation).
-        self._shard_buckets: Dict[TypingTuple[str, Optional[bool], int, int],
-                                  List[FrozenSet[Tuple]]] = {}
 
     # ------------------------------------------------------------------ #
     def _index_for(self, atom: Atom) -> _RelationIndex:
@@ -327,11 +307,6 @@ class QueryEvaluator:
         indexes) alive across deltas is what makes incremental refresh cost
         proportional to the delta, not to the instance.
         """
-        # Shard row buckets are derived wholesale from the relation scans;
-        # any membership change invalidates them (they rebuild on the next
-        # shard-restricted pass — workers are typically fresh processes, so
-        # this almost never fires in practice).
-        self._shard_buckets.clear()
         for tup in changed:
             present = self.database.contains(tup)
             endogenous = present and self.database.is_endogenous(tup)
@@ -350,76 +325,16 @@ class QueryEvaluator:
                 if store is not None:
                     store.update_membership(tup, belongs)
 
-    def _shard_rows(self, atom: Atom, position: int, count: int,
-                    index: int) -> FrozenSet[Tuple]:
-        """The rows of ``atom``'s tuple set whose ``position`` value hashes
-        to shard ``index`` (of ``count``), off the cached bucket scan."""
-        status = atom.endogenous if self.respect_annotations else None
-        key = (atom.relation, status, position, count)
-        buckets = self._shard_buckets.get(key)
-        if buckets is None:
-            raw: List[Set[Tuple]] = [set() for _ in range(count)]
-            for tup in self._index_for(atom).tuples:
-                raw[stable_partition(tup[position], count)].add(tup)
-            buckets = [frozenset(bucket) for bucket in raw]
-            self._shard_buckets[key] = buckets
-        return buckets[index]
-
-    def _restrict_plans_to_shard(
-            self, query: ConjunctiveQuery, plans: List[_AtomPlan],
-            shard: TypingTuple[int, int]) -> bool:
-        """Confine the plans to one hash partition of the answer heads.
-
-        Every atom mentioning the partition variable (the first head
-        variable, :func:`shard_variable`) keeps only the rows whose value at
-        that variable's position hashes to the requested shard; the caller's
-        semi-join fixpoint then prunes the other atoms through the shared
-        variables, exactly as for a constant-bound query.  A valuation's
-        head value for the partition variable determines its shard, so the
-        shards' answer sets are disjoint and their union is the full pass —
-        the soundness argument behind ``docs/ARCHITECTURE.md`` "Sharded
-        passes".
-
-        Returns ``False`` when this shard provably owns no answers (a head
-        without variables, or an unsafe head variable absent from the body,
-        puts everything in shard 0).
-        """
-        index, count = shard
-        if not (0 <= index < count):
-            raise ValueError(f"shard {index} out of range for count {count}")
-        variable = shard_variable(query)
-        restricted = False
-        if variable is not None:
-            for plan in plans:
-                position = plan.var_positions.get(variable)
-                if position is None:
-                    continue
-                bucket = self._shard_rows(plan.atom, position, count, index)
-                plan.candidates = bucket & plan.candidates
-                restricted = True
-        if not restricted:
-            # No atom constrains the partition variable: shard 0 owns the
-            # whole answer space so the union over shards stays exact.
-            return index == 0
-        return True
-
-    def _build_plans(self, query: ConjunctiveQuery,
-                     shard: Optional[TypingTuple[int, int]] = None
+    def _build_plans(self, query: ConjunctiveQuery
                      ) -> Optional[List[_AtomPlan]]:
         """Per-atom candidate sets, reduced to a semi-join fixpoint.
 
         Returns ``None`` as soon as some atom has no candidates — the query
-        then has no valuations (early termination).  ``shard=(i, n)``
-        restricts the plans to the ``i``-th of ``n`` hash partitions of the
-        answer heads *before* the fixpoint, so the semi-join bounds prune
-        the non-head atoms down to the shard's neighbourhood too.
+        then has no valuations (early termination).
         """
         plans = [_AtomPlan(atom, self._index_for(atom))
                  for atom in query.atoms]
         self.stats.plans_built += len(plans)
-        if shard is not None \
-                and not self._restrict_plans_to_shard(query, plans, shard):
-            return None
         if any(not plan.candidates for plan in plans):
             return None
         if not self.semijoin:
@@ -525,7 +440,6 @@ class QueryEvaluator:
     def valuations_blocks(
             self, query: ConjunctiveQuery,
             use_numpy: Optional[bool] = None,
-            shard: Optional[TypingTuple[int, int]] = None,
     ) -> Dict[Answer, ValuationBlock]:
         """The columnar valuation pass: one :class:`ValuationBlock` per answer.
 
@@ -541,20 +455,13 @@ class QueryEvaluator:
         vectorised probe when NumPy is importable, ``False`` pins the pure
         path (differential-testing baseline), ``True`` requires NumPy.
 
-        ``shard=(i, n)`` restricts the pass to the ``i``-th of ``n`` hash
-        partitions of the answer heads (partitioned on the first head
-        variable via :func:`~repro.relational.tuples.stable_partition`):
-        the union of the ``n`` shard passes is exactly the full pass, and
-        the per-shard answer sets are disjoint.  This is the partition
-        entry point the shard-parallel batch engines fan out over.
-
         :attr:`stats` is reset at the start of every call, so the counters
         always describe the most recent pass (plus any incremental residual
         work done since) — what a resident session's ``engine_stats()``
         should report.
         """
         self.stats.reset()
-        plans = self._build_plans(query, shard=shard)
+        plans = self._build_plans(query)
         if plans is None:
             return {}
         order = self._atom_order(plans)

@@ -84,7 +84,7 @@ class BackendSession:
         workers never re-run the valuation pass (the parent already grouped
         it), so they need the partition lookups and relation scans of the
         plain instance, not a second backend load.  Workers must treat the
-        handle as read-only: under the fork transport it is shared
+        handle as read-only: under the ``fork`` start method it is shared
         copy-on-write with the parent.
 
         Examples

@@ -11,7 +11,6 @@ two tuples with the same relation and values are the same fact.
 
 from __future__ import annotations
 
-import zlib
 from typing import Any, Iterator, Sequence, Tuple as TypingTuple
 
 
@@ -80,7 +79,7 @@ class Tuple:
         # so a hash carried verbatim across a spawn boundary would disagree
         # with hashes of equal tuples built in the receiving process and
         # silently corrupt every set/dict the unpickled tuple lands in —
-        # exactly what the shared-memory fan-out transport does.
+        # exactly what a spawn-started fan-out worker receives.
         return (Tuple, (self._relation, self._values))
 
     def __lt__(self, other: "Tuple") -> bool:
@@ -106,34 +105,6 @@ class Tuple:
 def value_sort_key(values: Sequence[Any]) -> TypingTuple[Any, ...]:
     """Build a comparison key that tolerates mixed value types."""
     return tuple((type(v).__name__, repr(v)) for v in values)
-
-
-def stable_partition(value: Any, shards: int) -> int:
-    """Which of ``shards`` hash partitions ``value`` belongs to.
-
-    The shard-parallel batch engines partition answer heads by the value of
-    the first head variable; the parent assigns explicit targets to shards
-    and each worker restricts its own valuation pass to one shard, so the
-    two *must* compute the same bucket in different processes.  Python's
-    built-in ``hash`` is salted per process (``PYTHONHASHSEED``), so the
-    partition is instead a CRC over the same type-tagged ``repr`` that
-    :func:`value_sort_key` uses for ordering — deterministic across
-    processes, platforms and runs.
-
-    Examples
-    --------
-    >>> stable_partition("a1", 4) == stable_partition("a1", 4)
-    True
-    >>> stable_partition("anything", 1)
-    0
-    >>> all(0 <= stable_partition(v, 3) < 3 for v in ("x", 7, (1, 2)))
-    True
-    """
-    if shards <= 1:
-        return 0
-    token = f"{type(value).__name__}:{value!r}".encode(
-        "utf-8", "backslashreplace")
-    return zlib.crc32(token) % shards
 
 
 def make_tuple(relation: str, *values: Any) -> Tuple:

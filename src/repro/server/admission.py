@@ -5,9 +5,9 @@ A long-lived service must refuse work it cannot absorb, and refuse it
 :class:`AdmissionGate` built from an :class:`AdmissionPolicy`:
 
 * ``max_pending`` bounds the per-session queue depth (requests admitted but
-  not yet finished, including those waiting on the session lock).  Beyond
-  it, requests are rejected with the typed code ``queue-full`` — the 429 of
-  this protocol — instead of growing an unbounded backlog.
+  not yet finished, including those queued on the session's worker thread).
+  Beyond it, requests are rejected with the typed code ``queue-full`` — the
+  429 of this protocol — instead of growing an unbounded backlog.
 * ``max_candidates_cap`` bounds the Why-No candidate generation, the one
   knob whose cost is data-dependent and potentially explosive.  When a cap
   is configured, a request must bound itself at or below it (code

@@ -1,26 +1,28 @@
-"""Resident sessions: one loaded database, one worker thread, one lock.
+"""Resident sessions: one loaded database, one worker thread, one epoch.
 
 A :class:`ServerSession` keeps a
 :class:`~repro.core.api.ExplanationSession` alive across requests so the
 warm lineage cache, the lineage inverted index and the memoized
-explanations amortize.  Three pieces make it safe under concurrency:
+explanations amortize.  Two pieces make it safe under concurrency:
 
 * **One worker thread per session.**  All engine work — including building
   the session and closing it — runs on a dedicated single-thread executor
   via ``loop.run_in_executor``.  This keeps the event loop free, gives the
   SQLite backend its required thread affinity (the connection is created
   and only ever used on that thread), and totally orders every computation
-  of the session even when a request is abandoned mid-flight.
-* **A writer-preferring read/write lock** (:class:`ReadWriteLock`) orders
-  deltas against in-flight explanations: reads share, a delta excludes,
-  and a waiting delta blocks new reads from overtaking it.
+  of the session even when a request is abandoned mid-flight.  The
+  executor runs jobs in FIFO submission order, so a delta is ordered
+  against reads by when it arrived: reads submitted before it see the old
+  state, reads submitted after it queue behind it and see the new one.  A
+  read's ``request_timeout`` therefore also counts the time it spends
+  queued behind a delta.
 * **An epoch counter**, incremented on the worker thread as each delta
   lands and captured on the worker thread as each read begins.  Every
   response reports the epoch it was computed on, which is what the
   linearizability property test replays against.
 
 Parallel fan-out still happens *inside* the worker thread: the engine's
-``explain_all(workers=...)`` forks its worker pool from there, and chunk
+``explain_all(workers=...)`` starts its worker pool from there, and chunk
 completions are marshalled back to the event loop with
 ``call_soon_threadsafe`` (see :meth:`ServerSession.explain_batch`).
 """
@@ -37,7 +39,6 @@ from ..exceptions import ProtocolError, ServerError
 from ..relational import database_from_dict, parse_query
 from ..relational.delta import DatabaseDelta
 from .admission import AdmissionGate, AdmissionPolicy
-from .locks import ReadWriteLock
 
 #: A chunk callback as the engines deliver it (targets, explanations).
 ChunkCallback = Callable[[List[Any], Dict[Any, Explanation]], None]
@@ -53,11 +54,11 @@ class SessionConfig:
     """
 
     __slots__ = ("name", "query_text", "database", "backend", "method",
-                 "workers", "transport", "policy")
+                 "workers", "policy")
 
     def __init__(self, name: str, query_text: str, database: Any,
                  backend: str = "memory", method: str = "auto",
-                 workers: Optional[int] = None, transport: str = "auto",
+                 workers: Optional[int] = None,
                  policy: Optional[AdmissionPolicy] = None) -> None:
         self.name = name
         self.query_text = query_text
@@ -65,7 +66,6 @@ class SessionConfig:
         self.backend = backend
         self.method = method
         self.workers = workers
-        self.transport = transport
         self.policy = policy if policy is not None else AdmissionPolicy()
 
     def __repr__(self) -> str:
@@ -85,7 +85,6 @@ class ServerSession:
         self.config = config
         self.name = config.name
         self.gate = AdmissionGate(config.policy)
-        self.lock = ReadWriteLock()
         self.epoch = 0
         self.requests_served = 0
         self._session: Optional[ExplanationSession] = None
@@ -139,7 +138,7 @@ class ServerSession:
 
         An abandoned job (timeout or caller cancelled) keeps running to
         completion on the worker thread — it cannot be interrupted — but
-        its result is discarded and the caller's lock slot is released.
+        its result is discarded and the caller is released at once.
         Because the thread is the true serializer, later jobs simply queue
         behind it; the session is never left poisoned.  Write jobs are
         *not* abandonable: they mutate, so the caller always waits.
@@ -162,7 +161,7 @@ class ServerSession:
             raise
 
     async def _read(self, fn: Callable[[], Any], op: str) -> Any:
-        """One admitted, read-locked, epoch-stamped job on the worker thread.
+        """One admitted, epoch-stamped job on the worker thread.
 
         The epoch is captured *on the worker thread*, where it is totally
         ordered with every delta's increment, so even an abandoned read
@@ -173,9 +172,7 @@ class ServerSession:
             return (self.epoch, fn())
 
         with self.gate.admit():
-            async with self.lock.read_locked():
-                epoch, payload = await self._run_job(job, op,
-                                                     abandonable=True)
+            epoch, payload = await self._run_job(job, op, abandonable=True)
         self.requests_served += 1
         return epoch, payload
 
@@ -202,8 +199,7 @@ class ServerSession:
         keys = None if answers is None else [tuple(a) for a in answers]
         return await self._read(
             lambda: session.explain_all(
-                keys, workers=self.config.workers,
-                transport=self.config.transport, on_chunk=on_chunk),
+                keys, workers=self.config.workers, on_chunk=on_chunk),
             "explain-batch")
 
     async def whyno(self, domains: Optional[Mapping[str, List[Any]]] = None,
@@ -216,13 +212,12 @@ class ServerSession:
         return await self._read(
             lambda: session.for_missing_answers(
                 domains=domains, max_candidates=effective,
-                workers=self.config.workers,
-                transport=self.config.transport, on_chunk=on_chunk),
+                workers=self.config.workers, on_chunk=on_chunk),
             "whyno")
 
     async def apply_deltas(self, changes: Any
                            ) -> TypingTuple[int, Dict[str, Any]]:
-        """Apply a delta (or list of deltas) exclusively; bump the epoch.
+        """Apply a delta (or list of deltas) in arrival order; bump the epoch.
 
         The epoch increment runs on the worker thread, immediately after
         the refresh, so reads queued behind the delta (on the same thread)
@@ -242,9 +237,8 @@ class ServerSession:
             return self.epoch, reports
 
         with self.gate.admit():
-            async with self.lock.write_locked():
-                epoch, reports = await self._run_job(job, "delta",
-                                                     abandonable=False)
+            epoch, reports = await self._run_job(job, "delta",
+                                                 abandonable=False)
         self.requests_served += 1
         summary = {
             side: None if report is None else {

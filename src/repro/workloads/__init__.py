@@ -10,9 +10,9 @@ from .generators import (
     random_database_for_query,
     random_two_table_instance,
     scaling_series,
-    sharded_fanout_instance,
     star_instance,
     star_query,
+    wide_fanout_instance,
 )
 from .hypergraphs import (
     CNF3Formula,
@@ -55,7 +55,7 @@ __all__ = [
     "random_tripartite_hypergraph",
     "random_two_table_instance",
     "scaling_series",
-    "sharded_fanout_instance",
     "star_instance",
     "star_query",
+    "wide_fanout_instance",
 ]

@@ -149,16 +149,15 @@ def star_instance(rays: int, per_relation: int, domain_size: int,
     return db
 
 
-def sharded_fanout_instance(n_answers: int, witnesses_per_answer: int,
-                            seed: int = 0, skew_factor: int = 1,
-                            exogenous_s: bool = False) -> Database:
+def wide_fanout_instance(n_answers: int, witnesses_per_answer: int,
+                         seed: int = 0, skew_factor: int = 1,
+                         exogenous_s: bool = False) -> Database:
     """A wide instance for ``q(x) :- R(x, y), S(y, z)`` with per-answer lineage.
 
     Each answer ``x{i}`` gets its *own* join values ``y{i}_{j}``, so lineages
-    are disjoint across answers and the instance shards cleanly by head value:
-    a worker owning ``x{i}`` never needs another answer's rows.  This is the
-    scale shape for the sharded fan-out benchmarks — many answers, each with a
-    non-trivial witness set.
+    are disjoint across answers: explaining ``x{i}`` never touches another
+    answer's rows.  This is the scale shape for the fan-out benchmarks — many
+    answers, each with a non-trivial witness set.
 
     ``skew_factor`` > 1 inflates the *first* answer's witness count by that
     factor (the other answers keep ``witnesses_per_answer``), modelling the

@@ -6,8 +6,10 @@ offending target*; a worker process that dies outright must surface the same
 typed error naming its chunk — never a hang, never a partially merged cache.
 After a failed fan-out the parent engine must remain fully usable.
 
-The compute/setup functions live at module level so every transport
-(including spawn-based shared-memory) can pickle them by reference.
+The compute/setup functions live at module level so a spawned worker can
+unpickle them by reference.  The ``run`` fixture covers every path the pool
+has: serial (one worker), ``fork`` and ``spawn`` — spawn by monkeypatching
+the pool's start-method constant, so POSIX hosts exercise it too.
 """
 
 import multiprocessing
@@ -16,16 +18,33 @@ import os
 import pytest
 
 from repro.engine import BatchExplainer
+from repro.engine import _pool
 from repro.engine import batch as batch_module
 from repro.engine._pool import FanOutSpec, fan_out
-from repro.exceptions import CausalityError, FanOutError, FanOutWorkerError
+from repro.exceptions import CausalityError, FanOutWorkerError
 from repro.relational import Database, parse_query
 
 QUERY = parse_query("q(x) :- R(x, y), S(y)")
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
-TRANSPORTS = ("serial",) + (("fork",) if HAS_FORK else ()) + ("shared-memory",)
+PROCESS_METHODS = (("fork",) if HAS_FORK else ()) + ("spawn",)
 
 POISON = "t2"
+
+
+@pytest.fixture(params=("serial",) + PROCESS_METHODS)
+def run(request, monkeypatch):
+    """``(transport, workers)``: one worker runs serial, two run the pool."""
+    if request.param == "serial":
+        return "serial", 1
+    monkeypatch.setattr(_pool, "_START_METHOD", request.param)
+    return request.param, 2
+
+
+@pytest.fixture(params=PROCESS_METHODS)
+def process_method(request, monkeypatch):
+    """The pool's start method, for checks that need worker processes."""
+    monkeypatch.setattr(_pool, "_START_METHOD", request.param)
+    return request.param
 
 
 def _compute_or_raise(state, target):
@@ -42,6 +61,10 @@ def _compute_or_die(state, target):
 
 def _setup_that_raises(state):
     raise RuntimeError("injected setup failure")
+
+
+def _finalize_that_raises(context):
+    raise RuntimeError("injected finalize failure")
 
 
 def _explode_on_marked_answer(explainer, answer):
@@ -67,12 +90,12 @@ def example_db() -> Database:
 
 
 class TestPoolFailures:
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_raising_worker_names_the_target(self, transport):
+    def test_raising_worker_names_the_target(self, run):
+        transport, workers = run
         spec = FanOutSpec(compute=_compute_or_raise)
         with pytest.raises(FanOutWorkerError) as excinfo:
-            fan_out(["t1", "t2", "t3", "t4"], "state-", spec, workers=2,
-                    transport=transport)
+            fan_out(["t1", "t2", "t3", "t4"], "state-", spec,
+                    workers=workers)
         error = excinfo.value
         assert error.target == POISON
         assert error.targets == (POISON,)
@@ -80,39 +103,42 @@ class TestPoolFailures:
         assert "ValueError" in error.detail
         assert POISON in str(error)
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_setup_failure_names_the_chunk(self, transport):
+    def test_setup_failure_names_the_chunk(self, run):
+        _, workers = run
         spec = FanOutSpec(compute=_compute_or_raise,
                           setup=_setup_that_raises)
         with pytest.raises(FanOutWorkerError) as excinfo:
-            fan_out(["t1", "t3"], "state-", spec, workers=2,
-                    transport=transport)
+            fan_out(["t1", "t3"], "state-", spec, workers=workers)
         error = excinfo.value
         assert error.target is None or len(error.targets) == 1
         assert set(error.targets) <= {"t1", "t3"}
         assert "RuntimeError" in error.detail
 
-    @pytest.mark.skipif(not HAS_FORK, reason="fork transport is POSIX-only")
-    def test_dying_worker_process_is_a_typed_error_not_a_hang(self):
+    def test_dying_worker_process_is_a_typed_error_not_a_hang(
+            self, process_method):
         spec = FanOutSpec(compute=_compute_or_die)
         with pytest.raises(FanOutWorkerError) as excinfo:
-            fan_out(["t1", "t2", "t3", "t4"], "state-", spec, workers=2,
-                    transport="fork")
+            fan_out(["t1", "t2", "t3", "t4"], "state-", spec, workers=2)
         error = excinfo.value
-        # The process died without reporting, so the whole chunk is named.
+        # The process died without reporting, so its chunks are named.
         assert POISON in error.targets
-        assert error.transport == "fork"
+        assert error.transport == process_method
 
-    def test_unknown_transport_is_typed(self):
-        with pytest.raises(FanOutError):
-            fan_out(["t1", "t2"], "s", FanOutSpec(compute=_compute_or_raise),
-                    workers=2, transport="carrier-pigeon")
+    def test_finalize_failure_voids_the_worker(self, run):
+        _, workers = run
+        spec = FanOutSpec(compute=_compute_or_raise,
+                          finalize=_finalize_that_raises)
+        with pytest.raises(FanOutWorkerError) as excinfo:
+            fan_out(["t1", "t3", "t4"], "s-", spec, workers=workers)
+        assert "RuntimeError" in excinfo.value.detail
+        assert set(excinfo.value.targets) <= {"t1", "t3", "t4"}
 
-    def test_successful_run_keeps_all_targets(self):
+    def test_successful_run_keeps_all_targets(self, run):
+        transport, workers = run
         spec = FanOutSpec(compute=_compute_or_raise)
-        result = fan_out(["t1", "t3", "t4"], "s-", spec, workers=2,
-                         transport="fork" if HAS_FORK else "shared-memory")
+        result = fan_out(["t1", "t3", "t4"], "s-", spec, workers=workers)
         assert dict(result) == {"t1": "s-t1", "t3": "s-t3", "t4": "s-t4"}
+        assert result.transport == transport
 
 
 class TestStreamingChunks:
@@ -125,12 +151,12 @@ class TestStreamingChunks:
     missing — so a consumer can always mark a shortened ranking as partial.
     """
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_pool_streams_each_successful_chunk_once(self, transport):
+    def test_pool_streams_each_successful_chunk_once(self, run):
+        _, workers = run
         spec = FanOutSpec(compute=_compute_or_raise)
         chunks = []
-        result = fan_out(["t1", "t3", "t4", "t5"], "s-", spec, workers=2,
-                         transport=transport,
+        result = fan_out(["t1", "t3", "t4", "t5"], "s-", spec,
+                         workers=workers,
                          on_chunk=lambda t, r: chunks.append((t, r)))
         delivered = [t for targets, _ in chunks for t in targets]
         assert sorted(delivered) == ["t1", "t3", "t4", "t5"]
@@ -139,41 +165,46 @@ class TestStreamingChunks:
             merged.update(results)
         assert merged == dict(result)
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_pool_never_streams_a_failed_chunk(self, transport):
+    def test_pool_never_streams_a_failed_chunk(self, run):
+        transport, workers = run
         spec = FanOutSpec(compute=_compute_or_raise)
         chunks = []
+        # 16 targets at 2 workers make 8 chunks of two: ("t1", "t2") is the
+        # poisoned chunk.
+        targets = [f"t{i}" for i in range(1, 17)]
         with pytest.raises(FanOutWorkerError):
-            fan_out(["t1", "t2", "t3", "t4"], "s-", spec, workers=2,
-                    transport=transport,
+            fan_out(targets, "s-", spec, workers=workers,
                     on_chunk=lambda t, r: chunks.append(list(t)))
         delivered = [t for targets in chunks for t in targets]
         assert POISON not in delivered
         # The poisoned chunk as a whole is withheld, not just the target.
+        assert "t1" not in delivered
         if transport != "serial":
-            assert "t1" not in delivered
+            # The failing worker stops claiming; a sibling drains and
+            # streams every other chunk.
+            assert sorted(delivered) == sorted(targets[2:])
 
-    @pytest.mark.skipif(not HAS_FORK, reason="fork transport is POSIX-only")
-    def test_pool_streams_survivor_chunks_when_a_worker_dies(self):
+    def test_pool_streams_survivor_chunks_when_a_worker_dies(
+            self, process_method):
         spec = FanOutSpec(compute=_compute_or_die)
         chunks = []
-        with pytest.raises(FanOutWorkerError):
-            fan_out(["t1", "t2", "t3", "t4"], "s-", spec, workers=2,
-                    transport="fork",
+        targets = ["t1", "t2", "t3", "t4"]
+        with pytest.raises(FanOutWorkerError) as excinfo:
+            fan_out(targets, "s-", spec, workers=2,
                     on_chunk=lambda t, r: chunks.append(list(t)))
         delivered = [t for targets in chunks for t in targets]
         assert POISON not in delivered
-        assert set(delivered) <= {"t3", "t4"}
+        # Delivered and named-unfinished partition the batch.
+        assert not set(delivered) & set(excinfo.value.targets)
+        assert set(delivered) | set(excinfo.value.targets) == set(targets)
 
-    @pytest.mark.parametrize("workers,transport",
-                             [(None, "serial"), (2, "shared-memory")]
-                             + ([(2, "fork")] if HAS_FORK else []))
+    @pytest.mark.parametrize("workers", [None, 2])
     def test_engine_streams_every_answer_exactly_once(self, workers,
-                                                      transport):
+                                                      process_method):
         explainer = BatchExplainer(QUERY, example_db(), method="exact")
         chunks = []
         result = explainer.explain_all(
-            workers=workers, transport=transport,
+            workers=workers,
             on_chunk=lambda t, r: chunks.append((list(t), dict(r))))
         delivered = [t for targets, _ in chunks for t in targets]
         assert sorted(delivered) == sorted(result)
@@ -186,19 +217,19 @@ class TestStreamingChunks:
                {k: [(c.tuple, c.responsibility) for c in v.ranked()]
                 for k, v in result.items()}
 
-    @pytest.mark.skipif(not HAS_FORK, reason="fork transport is POSIX-only")
     def test_engine_streams_memoized_answers_first(self):
         explainer = BatchExplainer(QUERY, example_db(), method="exact")
         warm = ("a2",)
         explainer.explain(warm)
         chunks = []
-        explainer.explain_all(workers=2, transport="fork",
+        explainer.explain_all(workers=2,
                               on_chunk=lambda t, r: chunks.append(list(t)))
         assert warm in chunks[0]
         delivered = [t for targets in chunks for t in targets]
         assert len(delivered) == len(set(delivered))
 
-    @pytest.mark.skipif(not HAS_FORK, reason="fork transport is POSIX-only")
+    @pytest.mark.skipif(not HAS_FORK, reason="the injected spec is "
+                        "monkeypatched in the parent; fork inherits it")
     @pytest.mark.parametrize("compute", [_explode_on_marked_answer,
                                          _exit_on_marked_answer])
     def test_engine_failure_accounts_for_every_target(self, compute,
@@ -212,7 +243,7 @@ class TestStreamingChunks:
                        finalize=batch_module._whyso_worker_export_cache))
         chunks = []
         with pytest.raises(FanOutWorkerError) as excinfo:
-            explainer.explain_all(workers=2, transport="fork",
+            explainer.explain_all(workers=2,
                                   on_chunk=lambda t, r: chunks.append(list(t)))
         error = excinfo.value
         delivered = [t for targets in chunks for t in targets]
@@ -234,7 +265,8 @@ class TestEngineFailures:
         with pytest.raises(CausalityError, match="not an answer"):
             explainer.explain_all(answers=[("a2",), ("zz",)], workers=workers)
 
-    @pytest.mark.skipif(not HAS_FORK, reason="fork transport is POSIX-only")
+    @pytest.mark.skipif(not HAS_FORK, reason="the injected spec is "
+                        "monkeypatched in the parent; fork inherits it")
     @pytest.mark.parametrize("compute", [_explode_on_marked_answer,
                                          _exit_on_marked_answer])
     def test_failed_fanout_leaves_parent_usable(self, compute, monkeypatch):
@@ -249,7 +281,7 @@ class TestEngineFailures:
                        setup=batch_module._whyso_worker_setup,
                        finalize=batch_module._whyso_worker_export_cache))
         with pytest.raises(FanOutWorkerError) as excinfo:
-            explainer.explain_all(workers=2, transport="fork")
+            explainer.explain_all(workers=2)
         assert ("a4",) in excinfo.value.targets
 
         # Nothing was merged: no memoized explanations, no cache entries.

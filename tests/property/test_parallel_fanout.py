@@ -10,9 +10,11 @@ The suite also pins the reporting contract: the
 how many workers actually did (the pool shrinks to ``min(workers, targets)``
 — historically a silent fallback).
 
-The default tier keeps instances tiny and samples the transport matrix; the
-``slow`` tier sweeps more seeds.  ``REPRO_TEST_WORKERS`` (see
-``suite_workers`` in the top-level conftest) adds the CI dimension.
+The default tier keeps instances tiny and runs both process start methods
+(``spawn`` by monkeypatching the pool's start-method constant, so POSIX
+hosts cover it too); the ``slow`` tier sweeps more seeds.
+``REPRO_TEST_WORKERS`` (see ``suite_workers`` in the top-level conftest)
+adds the CI dimension.
 """
 
 import multiprocessing
@@ -21,19 +23,27 @@ import random
 import pytest
 
 from repro.engine import BatchExplainer, WhyNoBatchExplainer
+from repro.engine import _pool
 from repro.engine._pool import effective_pool_size, resolve_transport
 from repro.exceptions import CausalityError
 from repro.relational import Database, evaluate, parse_query
-from repro.workloads import sharded_fanout_instance
+from repro.workloads import wide_fanout_instance
 
 QUERY = parse_query("q(x) :- R(x, y), S(y)")
 BACKENDS = ("memory", "sqlite")
 WORKER_COUNTS = (1, 2, 3, 7)
-# fork is POSIX-only; shared-memory (spawn) works everywhere.
-PROCESS_TRANSPORTS = tuple(
-    t for t in ("fork", "shared-memory")
-    if t != "fork" or "fork" in multiprocessing.get_all_start_methods()
+# fork is POSIX-only; spawn works everywhere.
+START_METHODS = tuple(
+    m for m in ("fork", "spawn")
+    if m in multiprocessing.get_all_start_methods()
 )
+
+
+@pytest.fixture(params=START_METHODS)
+def start_method(request, monkeypatch):
+    """Run the fan-out pool under each available process start method."""
+    monkeypatch.setattr(_pool, "_START_METHOD", request.param)
+    return request.param
 
 
 def ranking(explanation):
@@ -70,27 +80,25 @@ class TestWhySoEquivalence:
         pooled = BatchExplainer(QUERY, db).explain_all(workers=workers)
         assert_same_explanations(pooled, serial, (seed, workers))
         if workers > 1:
-            assert pooled.transport == resolve_transport("auto", workers,
+            assert pooled.transport == resolve_transport(workers,
                                                          len(serial))
             assert pooled.effective_workers == \
                 effective_pool_size(len(serial), workers)
         assert pooled.requested_workers == workers
 
-    @pytest.mark.parametrize("transport", PROCESS_TRANSPORTS)
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_transports_and_backends(self, backend, transport):
+    def test_start_methods_and_backends(self, backend, start_method):
         rng = random.Random(42)
         db = random_instance(rng)
         serial = BatchExplainer(QUERY, db, backend=backend).explain_all()
         if len(serial) < 2:
             pytest.skip("random instance too small to fan out")
         explainer = BatchExplainer(QUERY, db, backend=backend)
-        pooled = explainer.explain_all(workers=3, transport=transport)
-        assert_same_explanations(pooled, serial, (backend, transport))
-        assert pooled.transport == transport
+        pooled = explainer.explain_all(workers=3)
+        assert_same_explanations(pooled, serial, (backend, start_method))
+        assert pooled.transport == start_method
 
-    @pytest.mark.parametrize("transport", PROCESS_TRANSPORTS)
-    def test_parent_state_after_merge_equals_serial(self, transport):
+    def test_parent_state_after_merge_equals_serial(self, start_method):
         """Explanation memos and cache contents match a serial run exactly.
 
         ``method="exact"`` forces the hitting-set engine, so the
@@ -105,9 +113,8 @@ class TestWhySoEquivalence:
         if len(serial) < 2:
             pytest.skip("random instance too small to fan out")
         parallel_explainer = BatchExplainer(QUERY, db, method="exact")
-        pooled = parallel_explainer.explain_all(workers=2,
-                                                transport=transport)
-        assert_same_explanations(pooled, serial, transport)
+        pooled = parallel_explainer.explain_all(workers=2)
+        assert_same_explanations(pooled, serial, start_method)
         assert dict(parallel_explainer.cache.export_entries()) == \
             dict(serial_explainer.cache.export_entries())
         assert set(parallel_explainer._explanations) == \
@@ -148,9 +155,8 @@ class TestWhyNoEquivalence:
             assert pooled.effective_workers == \
                 effective_pool_size(len(targets), workers)
 
-    @pytest.mark.parametrize("transport", PROCESS_TRANSPORTS)
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_transports_and_backends(self, backend, transport):
+    def test_start_methods_and_backends(self, backend, start_method):
         rng = random.Random(19)
         db = random_instance(rng)
         actual = evaluate(QUERY, db)
@@ -160,9 +166,9 @@ class TestWhyNoEquivalence:
                                      non_answers=targets).explain_all()
         explainer = WhyNoBatchExplainer(QUERY, db, non_answers=targets,
                                         backend=backend)
-        pooled = explainer.explain_all(workers=2, transport=transport)
-        assert_same_explanations(pooled, serial, (backend, transport))
-        assert pooled.transport == transport
+        pooled = explainer.explain_all(workers=2)
+        assert_same_explanations(pooled, serial, (backend, start_method))
+        assert pooled.transport == start_method
         # Memoized like serial: the next explain() serves the merged result.
         for key in targets:
             assert ranking(explainer.explain(key)) == ranking(serial[key])
@@ -208,10 +214,9 @@ class TestReporting:
         result = BatchExplainer(QUERY, db).explain_all()
         assert (result.transport, result.requested_workers,
                 result.effective_workers) == ("serial", 1, 1)
-        forced = BatchExplainer(QUERY, db).explain_all(workers=4,
-                                                       transport="serial")
-        assert (forced.transport, forced.requested_workers,
-                forced.effective_workers) == ("serial", 4, 1)
+        single = BatchExplainer(QUERY, db).explain_all(workers=1)
+        assert (single.transport, single.requested_workers,
+                single.effective_workers) == ("serial", 1, 1)
 
     def test_pool_shrinkage_is_reported(self):
         db = Database()
@@ -223,13 +228,12 @@ class TestReporting:
         result = BatchExplainer(query, db).explain_all(workers=7)
         assert len(result) == 2
         assert result.requested_workers == 7
-        assert result.effective_workers == 2  # one worker per chunk, visibly
+        assert result.effective_workers == 2  # min(workers, targets), visibly
 
-    def test_balanced_chunking_uses_every_requested_worker(self):
+    def test_every_requested_worker_runs(self):
         """Regression: ceil-division chunking ran only 3 workers for (5, 4).
 
-        Balanced chunks (floor + remainder split) mean a request is never
-        shrunk while targets outnumber workers.
+        A request is never shrunk while targets outnumber workers.
         """
         assert effective_pool_size(5, 4) == 4
         db = Database()
@@ -240,7 +244,7 @@ class TestReporting:
         result = BatchExplainer(query, db).explain_all(workers=4)
         assert len(result) == 5
         assert result.requested_workers == 4
-        assert result.effective_workers == 4  # chunks of 2,1,1,1
+        assert result.effective_workers == 4
 
     def test_memoized_targets_are_served_from_the_parent(self):
         """A second explain_all ships nothing: every memo is still valid.
@@ -268,65 +272,11 @@ class TestReporting:
         assert result.effective_workers == 1
 
 
-class TestShardedEquivalence:
-    """``sharded=True``: workers run their own shard-restricted passes.
+class TestSubsetsAndMerges:
+    """Explicit subsets and cache merges on the fan-out path."""
 
-    Instead of inheriting the parent's finished pass, each worker
-    re-derives the valuation blocks for its hash partition of head
-    values.  The union of disjoint shard passes must be bit-identical to
-    the one serial pass — causes, rankings, key order, memos and merged
-    cache contents alike.
-    """
-
-    @pytest.mark.parametrize("transport", PROCESS_TRANSPORTS)
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_whyso_sharded_matches_serial(self, backend, transport):
-        rng = random.Random(31)
-        db = random_instance(rng)
-        serial = BatchExplainer(QUERY, db, backend=backend).explain_all()
-        if len(serial) < 2:
-            pytest.skip("random instance too small to fan out")
-        explainer = BatchExplainer(QUERY, db, backend=backend)
-        pooled = explainer.explain_all(workers=2, transport=transport,
-                                       sharded=True)
-        assert_same_explanations(pooled, serial, (backend, transport))
-        assert pooled.transport == transport
-        # The merged memos keep serving exactly what serial computed.
-        for key in serial:
-            assert ranking(explainer.explain(key)) == ranking(serial[key])
-
-    @pytest.mark.parametrize("transport", PROCESS_TRANSPORTS)
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_whyno_sharded_matches_serial(self, backend, transport):
-        rng = random.Random(47)
-        db = random_instance(rng)
-        actual = evaluate(QUERY, db)
-        targets = [(f"a{i}",) for i in range(9) if (f"a{i}",) not in actual]
-        assert len(targets) >= 2
-        serial = WhyNoBatchExplainer(QUERY, db,
-                                     non_answers=targets).explain_all()
-        explainer = WhyNoBatchExplainer(QUERY, db, non_answers=targets,
-                                        backend=backend)
-        pooled = explainer.explain_all(workers=2, transport=transport,
-                                       sharded=True)
-        assert_same_explanations(pooled, serial, (backend, transport))
-        assert pooled.transport == transport
-        for key in targets:
-            assert ranking(explainer.explain(key)) == ranking(serial[key])
-
-    @pytest.mark.parametrize("workers", (2, 3))
-    def test_whyso_sharded_worker_counts(self, workers):
-        rng = random.Random(53)
-        db = random_instance(rng)
-        serial = BatchExplainer(QUERY, db).explain_all()
-        if len(serial) < 2:
-            pytest.skip("random instance too small to fan out")
-        pooled = BatchExplainer(QUERY, db).explain_all(workers=workers,
-                                                       sharded=True)
-        assert_same_explanations(pooled, serial, workers)
-
-    def test_sharded_explicit_subset_and_validation(self):
-        """Explicit targets shard too, and bad targets raise like serial."""
+    def test_explicit_subset_and_validation(self):
+        """Explicit targets fan out too, and bad targets raise like serial."""
         rng = random.Random(61)
         db = random_instance(rng)
         serial_explainer = BatchExplainer(QUERY, db)
@@ -335,39 +285,45 @@ class TestShardedEquivalence:
             pytest.skip("random instance too small for a subset")
         subset = sorted(serial)[:3]
         explainer = BatchExplainer(QUERY, db)
-        pooled = explainer.explain_all(answers=subset, workers=2,
-                                       sharded=True)
+        pooled = explainer.explain_all(answers=subset, workers=2)
         assert list(pooled) == subset
+        assert pooled.transport != "serial"
         for key in subset:
             assert ranking(pooled[key]) == ranking(serial[key])
-        with pytest.raises(CausalityError) as sharded_err:
+        with pytest.raises(CausalityError) as pooled_err:
             BatchExplainer(QUERY, db).explain_all(
-                answers=[("nope",)], workers=2, sharded=True,
-                transport=PROCESS_TRANSPORTS[0])
+                answers=[subset[0], ("nope",)], workers=2)
         with pytest.raises(CausalityError) as serial_err:
             BatchExplainer(QUERY, db).explain_all(answers=[("nope",)])
-        assert str(sharded_err.value) == str(serial_err.value)
+        assert str(pooled_err.value) == str(serial_err.value)
 
-    def test_sharded_cache_merge_equals_serial(self):
-        """``method="exact"`` fills the cache; shard merges match serial."""
+    @pytest.mark.parametrize("workers", (2, 3, 7))
+    def test_cache_merge_from_a_warm_seed_equals_serial(self, workers):
+        """``method="exact"`` fills the cache; per-worker merges match serial.
+
+        The parent explains a few answers first, so the workers start from
+        a pre-seeded cache and ship back only what they add; however many
+        workers contributed, the merged cache equals a serial run's.
+        """
         rng = random.Random(11)
         db = random_instance(rng)
         serial_explainer = BatchExplainer(QUERY, db, method="exact")
         serial = serial_explainer.explain_all()
-        if len(serial) < 2:
+        if len(serial) < 3:
             pytest.skip("random instance too small to fan out")
         explainer = BatchExplainer(QUERY, db, method="exact")
-        pooled = explainer.explain_all(workers=2, sharded=True)
-        assert_same_explanations(pooled, serial, "sharded cache")
+        explainer.explain(next(iter(serial)))
+        pooled = explainer.explain_all(workers=workers)
+        assert_same_explanations(pooled, serial, workers)
         assert dict(explainer.cache.export_entries()) == \
             dict(serial_explainer.cache.export_entries())
 
 
 class TestPathologicalSkew:
-    """One answer's lineage is ~100× the rest: stealing must absorb it.
+    """One answer's lineage is ~100× the rest: work-stealing absorbs it.
 
-    With contiguous chunking the worker that owns the heavy answer
-    serialises the whole pass; work-stealing re-balances — but however
+    Workers claim fine-grained chunks, so the worker that owns the heavy
+    answer stops claiming while the others drain the rest — but however
     the chunks land, the explanations and their ranked order must not
     change with the worker count (no ordering or worker-count leak).
     """
@@ -375,8 +331,8 @@ class TestPathologicalSkew:
     SKEW_QUERY = parse_query("q(x) :- R(x, y), S(y, z)")
 
     def test_skewed_lineage_is_bit_identical_across_worker_counts(self):
-        db = sharded_fanout_instance(n_answers=12, witnesses_per_answer=2,
-                                     seed=5, skew_factor=100)
+        db = wide_fanout_instance(n_answers=12, witnesses_per_answer=2,
+                                  seed=5, skew_factor=100)
         serial = BatchExplainer(self.SKEW_QUERY, db).explain_all()
         assert len(serial) == 12
         heavy = max(serial.values(), key=lambda e: len(e.causes))
@@ -384,29 +340,28 @@ class TestPathologicalSkew:
         assert len(heavy.causes) >= 50 * len(light.causes)
         for workers in (2, 3, 7):
             explainer = BatchExplainer(self.SKEW_QUERY, db)
-            pooled = explainer.explain_all(workers=workers, sharded=True,
-                                           chunking="stealing")
+            pooled = explainer.explain_all(workers=workers)
             assert_same_explanations(pooled, serial, workers)
             assert list(pooled) == list(serial)  # no ordering leak
 
-    def test_skewed_inherit_path_with_stealing(self):
-        """Stealing also applies to the inherit-the-pass fan-out."""
-        db = sharded_fanout_instance(n_answers=8, witnesses_per_answer=2,
-                                     seed=7, skew_factor=100)
+    def test_skewed_lineage_under_each_start_method(self, start_method):
+        # 25× skew keeps the per-method runs cheap; the 100× case above
+        # already covers the worker counts.
+        db = wide_fanout_instance(n_answers=8, witnesses_per_answer=2,
+                                  seed=7, skew_factor=25)
         serial = BatchExplainer(self.SKEW_QUERY, db).explain_all()
-        pooled = BatchExplainer(self.SKEW_QUERY, db).explain_all(
-            workers=3, chunking="stealing")
-        assert_same_explanations(pooled, serial, "inherit+stealing")
+        pooled = BatchExplainer(self.SKEW_QUERY, db).explain_all(workers=3)
+        assert_same_explanations(pooled, serial, start_method)
+        assert pooled.transport == start_method
 
 
 @pytest.mark.slow
 class TestParallelSweep:
     """Larger randomized sweep (deselected by default)."""
 
-    @pytest.mark.parametrize("transport", PROCESS_TRANSPORTS)
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("seed", range(10))
-    def test_whyso_sweep(self, seed, backend, transport):
+    def test_whyso_sweep(self, seed, backend, start_method):
         rng = random.Random(9000 + seed)
         db = random_instance(rng)
         serial = BatchExplainer(QUERY, db, backend=backend).explain_all()
@@ -414,14 +369,13 @@ class TestParallelSweep:
             pytest.skip("random instance too small to fan out")
         for workers in WORKER_COUNTS:
             pooled = BatchExplainer(QUERY, db, backend=backend).explain_all(
-                workers=workers, transport=transport)
+                workers=workers)
             assert_same_explanations(pooled, serial,
-                                     (seed, backend, transport, workers))
+                                     (seed, backend, start_method, workers))
 
-    @pytest.mark.parametrize("transport", PROCESS_TRANSPORTS)
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("seed", range(10))
-    def test_whyno_sweep(self, seed, backend, transport):
+    def test_whyno_sweep(self, seed, backend, start_method):
         rng = random.Random(9500 + seed)
         db = random_instance(rng)
         actual = evaluate(QUERY, db)
@@ -432,7 +386,6 @@ class TestParallelSweep:
         for workers in WORKER_COUNTS:
             pooled = WhyNoBatchExplainer(
                 QUERY, db, non_answers=targets,
-                backend=backend).explain_all(workers=workers,
-                                             transport=transport)
+                backend=backend).explain_all(workers=workers)
             assert_same_explanations(pooled, serial,
-                                     (seed, backend, transport, workers))
+                                     (seed, backend, start_method, workers))

@@ -75,10 +75,11 @@ def _poll(predicate, timeout=10.0):
 
 
 class TestWorkerDeathMidStream:
-    @pytest.mark.skipif(not HAS_FORK, reason="fork transport is POSIX-only")
+    @pytest.mark.skipif(not HAS_FORK, reason="the injected spec is "
+                        "monkeypatched in the parent; fork inherits it")
     def test_dead_worker_is_a_typed_partial_error_frame(self, monkeypatch):
         configs = [SessionConfig("mem", QUERY_TEXT, example_payload(),
-                                 workers=2, transport="fork")]
+                                 workers=2)]
         with running_server(configs) as harness:
             monkeypatch.setattr(
                 batch_module, "_WHYSO_SPEC",

@@ -1,13 +1,13 @@
 """The explanation service end to end: a real server, real sockets.
 
 Every test drives the full stack — asyncio front-end, admission gate,
-read/write lock, worker thread, engines — through blocking clients, and
+worker thread, engines — through blocking clients, and
 checks results bit-exactly against the direct library API (responsibilities
 compare as exact fraction strings, never floats).
 """
 
-import asyncio
 import threading
+import time
 
 import pytest
 
@@ -15,7 +15,7 @@ from repro.core.api import ExplanationSession
 from repro.exceptions import ProtocolError
 from repro.relational import parse_query
 from repro.server import (
-    ReadWriteLock,
+    AdmissionPolicy,
     SessionConfig,
     ServerHarness,
     explanations_to_wire,
@@ -91,7 +91,7 @@ class TestBatchAndStreaming:
         assert frame["partial"] is False
         assert sorted(frame["explanations"], key=lambda w: w["answer"]) == \
             sorted(expected, key=lambda w: w["answer"])
-        assert frame["transport"] in ("serial", "fork", "shared-memory")
+        assert frame["transport"] in ("serial", "fork", "spawn")
 
     @pytest.mark.parametrize("name,backend", [("mem", "memory"),
                                               ("lite", "sqlite")])
@@ -261,53 +261,58 @@ class TestTypedErrors:
             assert client.ping() is True
 
 
-class TestReadWriteLock:
-    def test_writer_excludes_and_is_preferred(self):
-        async def scenario():
-            lock = ReadWriteLock()
-            order = []
+class TestArrivalOrder:
+    """A session's jobs run first come, first served on its worker thread.
 
-            async def reader(name, gate):
-                async with lock.read_locked():
-                    order.append(("r", name))
-                    await gate.wait()
+    A read that arrives while a delta is queued waits behind it and sees
+    the delta; a read queued ahead of the delta sees the old state.
+    """
 
-            async def writer():
-                async with lock.write_locked():
-                    order.append(("w", "w1"))
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_delta_is_ordered_between_queued_reads(self, backend):
+        config = SessionConfig("mem", QUERY_TEXT, example_payload(),
+                               backend=backend,
+                               policy=AdmissionPolicy(max_pending=8))
+        with ServerHarness([config]) as live:
+            session = live.server.registry.get("mem")._session
+            original = session.explain
+            entered = threading.Event()
+            release = threading.Event()
 
-            gate = asyncio.Event()
-            first = asyncio.ensure_future(reader("r1", gate))
-            await asyncio.sleep(0)
-            assert lock.readers == 1
-            write_task = asyncio.ensure_future(writer())
-            await asyncio.sleep(0)
-            # Writer waits; a newly arriving reader must queue behind it.
-            late_gate = asyncio.Event()
-            late_gate.set()
-            late = asyncio.ensure_future(reader("r2", late_gate))
-            await asyncio.sleep(0)
-            assert lock.writers_waiting == 1
-            assert ("r", "r2") not in order
-            gate.set()
-            await asyncio.gather(first, write_task, late)
-            assert order == [("r", "r1"), ("w", "w1"), ("r", "r2")]
+            def blocking_explain(*args, **kwargs):
+                entered.set()
+                assert release.wait(timeout=30), "worker never released"
+                return original(*args, **kwargs)
 
-        asyncio.run(scenario())
-
-    def test_cancelled_waiting_writer_unblocks_readers(self):
-        async def scenario():
-            lock = ReadWriteLock()
-            await lock.acquire_read()
-            write_task = asyncio.ensure_future(lock.acquire_write())
-            await asyncio.sleep(0)
-            assert lock.writers_waiting == 1
-            write_task.cancel()
-            await asyncio.gather(write_task, return_exceptions=True)
-            assert lock.writers_waiting == 0
-            # A new reader passes immediately.
-            await asyncio.wait_for(lock.acquire_read(), timeout=1)
-            await lock.release_read()
-            await lock.release_read()
-
-        asyncio.run(scenario())
+            session.explain = blocking_explain
+            delete_s3 = {"delete": {"relations": {"S": [["a3"]]}}}
+            pipelined = live.client()
+            try:
+                pipelined.send_raw({"id": 1, "op": "explain",
+                                    "session": "mem", "answer": ["a4"]})
+                assert entered.wait(timeout=10)
+                pipelined.send_raw({"id": 2, "op": "delta", "session": "mem",
+                                    "changes": delete_s3})
+                gate = live.server.registry.get("mem").gate
+                deadline = time.monotonic() + 10
+                while gate.pending < 2 and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert gate.pending == 2, "delta never queued"
+                pipelined.send_raw({"id": 3, "op": "explain",
+                                    "session": "mem", "answer": ["a4"]})
+                release.set()
+                frames = {}
+                for _ in range(3):
+                    frame = pipelined.recv()
+                    frames[frame["id"]] = frame
+            finally:
+                release.set()
+                pipelined.close()
+            assert [frames[i]["epoch"] for i in (1, 2, 3)] == [0, 1, 1]
+            direct = direct_session(backend)
+            assert frames[1]["explanation"] == \
+                explanation_to_wire(["a4"], direct.explain(("a4",)))
+            direct.refresh_all([_delta_of(delete_s3)])
+            assert frames[3]["explanation"] == \
+                explanation_to_wire(["a4"], direct.explain(("a4",)))
+            assert frames[3]["explanation"] != frames[1]["explanation"]
